@@ -281,6 +281,7 @@ fn record_entries(threads: usize, entries: Vec<BenchEntry>, label: &str) {
         threads,
         size: 64,
         nt: 8,
+        fp_mode: tempest_stencil::fpenv::MODE.to_string(),
         ..Default::default()
     });
     for e in entries {

@@ -12,13 +12,22 @@
 //! ablations: hoisted bounds checks and lane structure (scalar → portable),
 //! then explicit unaligned 256-bit loads (portable → avx2).
 //!
+//! A second input, the *fringe*, holds values decaying through
+//! 1e-30 … 1e-45 — what a wavefront leaves around an off-grid source after
+//! a few steps. Under IEEE gradual underflow, x86 cores take a microcode
+//! assist on every subnormal operand or result, so the so8 shapes are swept
+//! over it twice: without and with the `FlushDenormals` guard the
+//! propagators take around every step. The ratio to the random input shows
+//! the penalty the guard removes.
+//!
 //! Per-backend rows are merged into `results/BENCH_<host>.json` (keyed
-//! `microbench-so{so}/{kernel shape}/{backend}`) so the comparison is on
-//! record next to the tempest-report matrix.
+//! `microbench-so{so}/{kernel shape}[-fringe-{fp mode}]/{backend}`) so the
+//! comparison is on record next to the tempest-report matrix.
 
 use std::hint::black_box;
 use tempest_bench::microbench::{self, Config, Sample};
 use tempest_bench::perf_report::{host_name, BenchEntry, BenchReport};
+use tempest_stencil::fpenv::{self, FlushDenormals};
 use tempest_stencil::kernels::{first_derivative_weights, staggered_weights, AxisWeights};
 use tempest_stencil::Backend;
 
@@ -30,6 +39,19 @@ fn grid() -> (Vec<f32>, usize, usize) {
         *v = ((i * 2_654_435_761) % 1000) as f32 * 1e-3 - 0.5;
     }
     (u, N * N, N)
+}
+
+/// The fringe input: magnitudes falling from 1e-30 at x = 0 to 1e-45 at
+/// x = N − 1, with the same sign and jitter pattern as [`grid`].
+fn fringe_grid() -> Vec<f32> {
+    let (u, _, _) = grid();
+    u.iter()
+        .enumerate()
+        .map(|(i, &v)| {
+            let x = (i / (N * N)) as f64 / (N - 1) as f64;
+            (v as f64 * 2.0 * 10f64.powf(-30.0 - 15.0 * x)) as f32
+        })
+        .collect()
 }
 
 /// Interior extent, elements covered, and a scratch row for row calls.
@@ -83,6 +105,7 @@ fn bench_laplacian<const R: usize>(
     u: &[f32],
     sx: usize,
     sy: usize,
+    input: &str,
     out_rows: &mut Vec<BenchEntry>,
 ) {
     let w = AxisWeights::second_derivative(so, 10.0);
@@ -91,7 +114,8 @@ fn bench_laplacian<const R: usize>(
     let (lo, hi, elems, mut out) = interior::<R>();
     let mut rows = Vec::new();
     for b in backends() {
-        let s = microbench::run_elems(&format!("laplacian_{}/so{so}", b.name()), cfg, elems, || {
+        let label = format!("laplacian_{}/so{so}{input}", b.name());
+        let s = microbench::run_elems(&label, cfg, elems, || {
             for x in lo..hi {
                 for y in lo..hi {
                     let i0 = (x * N + y) * N + lo;
@@ -110,10 +134,10 @@ fn bench_laplacian<const R: usize>(
                 }
             }
         });
-        out_rows.push(entry("laplacian", so, b, elems, &s));
+        out_rows.push(entry(&format!("laplacian{input}"), so, b, elems, &s));
         rows.push((b, s));
     }
-    report_speedups("laplacian", so, &rows);
+    report_speedups(&format!("laplacian{input}"), so, &rows);
 }
 
 fn bench_cross<const R: usize>(
@@ -122,6 +146,7 @@ fn bench_cross<const R: usize>(
     u: &[f32],
     sx: usize,
     sy: usize,
+    input: &str,
     out_rows: &mut Vec<BenchEntry>,
 ) {
     let w = first_derivative_weights(so, 10.0);
@@ -129,7 +154,8 @@ fn bench_cross<const R: usize>(
     let (lo, hi, elems, mut out) = interior::<R>();
     let mut rows = Vec::new();
     for b in backends() {
-        let s = microbench::run_elems(&format!("cross_diff_{}/so{so}", b.name()), cfg, elems, || {
+        let label = format!("cross_diff_{}/so{so}{input}", b.name());
+        let s = microbench::run_elems(&label, cfg, elems, || {
             for x in lo..hi {
                 for y in lo..hi {
                     let i0 = (x * N + y) * N + lo;
@@ -138,19 +164,26 @@ fn bench_cross<const R: usize>(
                 }
             }
         });
-        out_rows.push(entry("cross_diff", so, b, elems, &s));
+        out_rows.push(entry(&format!("cross_diff{input}"), so, b, elems, &s));
         rows.push((b, s));
     }
-    report_speedups("cross_diff", so, &rows);
+    report_speedups(&format!("cross_diff{input}"), so, &rows);
 }
 
-fn bench_staggered<const R: usize>(cfg: Config, so: usize, u: &[f32], out_rows: &mut Vec<BenchEntry>) {
+fn bench_staggered<const R: usize>(
+    cfg: Config,
+    so: usize,
+    u: &[f32],
+    input: &str,
+    out_rows: &mut Vec<BenchEntry>,
+) {
     let w = staggered_weights(so, 10.0);
     let w: [f32; R] = w[..].try_into().expect("radius mismatch");
     let (lo, hi, elems, mut out) = interior::<R>();
     let mut rows = Vec::new();
     for b in backends() {
-        let s = microbench::run_elems(&format!("staggered_{}/so{so}", b.name()), cfg, elems, || {
+        let label = format!("staggered_{}/so{so}{input}", b.name());
+        let s = microbench::run_elems(&label, cfg, elems, || {
             for x in lo..hi {
                 for y in lo..hi {
                     let i0 = (x * N + y) * N + lo;
@@ -159,10 +192,10 @@ fn bench_staggered<const R: usize>(cfg: Config, so: usize, u: &[f32], out_rows: 
                 }
             }
         });
-        out_rows.push(entry("staggered", so, b, elems, &s));
+        out_rows.push(entry(&format!("staggered{input}"), so, b, elems, &s));
         rows.push((b, s));
     }
-    report_speedups("staggered", so, &rows);
+    report_speedups(&format!("staggered{input}"), so, &rows);
 }
 
 fn bench_order<const R: usize>(
@@ -171,11 +204,38 @@ fn bench_order<const R: usize>(
     u: &[f32],
     sx: usize,
     sy: usize,
+    input: &str,
     out_rows: &mut Vec<BenchEntry>,
 ) {
-    bench_laplacian::<R>(cfg, so, u, sx, sy, out_rows);
-    bench_cross::<R>(cfg, so, u, sx, sy, out_rows);
-    bench_staggered::<R>(cfg, so, u, out_rows);
+    bench_laplacian::<R>(cfg, so, u, sx, sy, input, out_rows);
+    bench_cross::<R>(cfg, so, u, sx, sy, input, out_rows);
+    bench_staggered::<R>(cfg, so, u, input, out_rows);
+}
+
+/// Median time over the fringe input relative to the random input, per
+/// so8 shape and backend, in each FP mode measured.
+fn report_fringe_penalty(rows: &[BenchEntry]) {
+    let time = |key: String| rows.iter().find(|e| e.key() == key).map(|e| e.elapsed_s);
+    let modes: &[&str] = if fpenv::FLUSHES {
+        &["ieee", fpenv::MODE]
+    } else {
+        &["ieee"]
+    };
+    for shape in ["laplacian", "cross_diff", "staggered"] {
+        for b in backends() {
+            let Some(random) = time(format!("microbench-so8/{shape}/{}", b.name())) else {
+                continue;
+            };
+            let mut line = format!("  fringe {shape}/so8 {}: time over random input,", b.name());
+            for mode in modes {
+                if let Some(t) = time(format!("microbench-so8/{shape}-fringe-{mode}/{}", b.name()))
+                {
+                    line += &format!(" {mode} {:.2}x", t / random.max(1e-12));
+                }
+            }
+            println!("{line}");
+        }
+    }
 }
 
 /// Merge the per-backend rows into the host's bench report (same pattern as
@@ -195,6 +255,7 @@ fn record_entries(entries: Vec<BenchEntry>) {
         threads: tempest_par::available_threads(),
         size: 64,
         nt: 8,
+        fp_mode: fpenv::MODE.to_string(),
         ..Default::default()
     });
     for e in entries {
@@ -216,8 +277,20 @@ fn main() {
         println!("  note: AVX2 unavailable on this host — avx2 rows omitted");
     }
     let mut rows = Vec::new();
-    bench_order::<2>(cfg, 4, &u, sx, sy, &mut rows);
-    bench_order::<4>(cfg, 8, &u, sx, sy, &mut rows);
-    bench_order::<6>(cfg, 12, &u, sx, sy, &mut rows);
+    bench_order::<2>(cfg, 4, &u, sx, sy, "", &mut rows);
+    bench_order::<4>(cfg, 8, &u, sx, sy, "", &mut rows);
+    bench_order::<6>(cfg, 12, &u, sx, sy, "", &mut rows);
+
+    println!("stencil_kernels: so8 over the fringe input (1e-30 … 1e-45)");
+    let fringe = fringe_grid();
+    bench_order::<4>(cfg, 8, &fringe, sx, sy, "-fringe-ieee", &mut rows);
+    if fpenv::FLUSHES {
+        let _fp = FlushDenormals::new();
+        let input = format!("-fringe-{}", fpenv::MODE);
+        bench_order::<4>(cfg, 8, &fringe, sx, sy, &input, &mut rows);
+    } else {
+        println!("  note: no flush-to-zero mode on this target — guarded rows omitted");
+    }
+    report_fringe_penalty(&rows);
     record_entries(rows);
 }

@@ -29,7 +29,7 @@ use tempest_core::{Execution, WaveSolver};
 use tempest_obs as obs;
 use tempest_obs::analysis::Roofline;
 use tempest_stencil::metrics::{acoustic_cost, elastic_cost, tti_cost, KernelCost};
-use tempest_stencil::Backend;
+use tempest_stencil::{fpenv, Backend};
 use tempest_survey::SurveyOptions;
 
 struct ReportArgs {
@@ -355,6 +355,7 @@ fn main() {
         git_sha: git_sha(),
         kernel_backend: kernel_label(KernelPath::Auto).to_string(),
         tempest_threads: std::env::var("TEMPEST_THREADS").unwrap_or_default(),
+        fp_mode: fpenv::MODE.to_string(),
         entries: Vec::new(),
     };
 

@@ -68,8 +68,13 @@ pub struct BenchReport {
     pub git_sha: String,
     /// Resolved `KernelPath::Auto` backend on the measuring host.
     pub kernel_backend: String,
-    /// `TEMPEST_THREADS` as set for the run (empty when unset).
+    /// `TEMPEST_THREADS` as set for the run (empty when unset; written as
+    /// `unset`).
     pub tempest_threads: String,
+    /// Floating-point mode the solver steps computed in
+    /// (`tempest_stencil::fpenv::MODE`: `ftz_daz` or `ieee`; empty for
+    /// reports written before the stamp).
+    pub fp_mode: String,
     pub entries: Vec<BenchEntry>,
 }
 
@@ -82,6 +87,9 @@ pub struct Regression {
     /// `current / baseline` (< 1 means slower).
     pub ratio: f64,
 }
+
+/// How an unset `TEMPEST_THREADS` is written.
+const UNSET: &str = "unset";
 
 /// Clamp to a finite value so the hand-rolled JSON never emits NaN/inf.
 fn fin(x: f64) -> f64 {
@@ -241,11 +249,12 @@ impl BenchReport {
             "  \"kernel_backend\": \"{}\",",
             obs::sanitize_label(&self.kernel_backend)
         );
-        let _ = writeln!(
-            s,
-            "  \"tempest_threads\": \"{}\",",
-            obs::sanitize_label(&self.tempest_threads)
-        );
+        let threads = match self.tempest_threads.as_str() {
+            "" => UNSET.to_string(),
+            t => obs::sanitize_label(t),
+        };
+        let _ = writeln!(s, "  \"tempest_threads\": \"{threads}\",");
+        let _ = writeln!(s, "  \"fp_mode\": \"{}\",", obs::sanitize_label(&self.fp_mode));
         s.push_str("  \"entries\": [\n");
         for (i, e) in self.entries.iter().enumerate() {
             let _ = write!(
@@ -330,7 +339,10 @@ impl BenchReport {
             // Optional metadata stamps (absent from pre-stamping reports).
             git_sha: opt_text("git_sha"),
             kernel_backend: opt_text("kernel_backend"),
-            tempest_threads: opt_text("tempest_threads"),
+            tempest_threads: Some(opt_text("tempest_threads"))
+                .filter(|t| t != UNSET)
+                .unwrap_or_default(),
+            fp_mode: opt_text("fp_mode"),
             entries,
         })
     }
@@ -464,6 +476,7 @@ mod tests {
             git_sha: "abc1234".into(),
             kernel_backend: "portable".into(),
             tempest_threads: "4".into(),
+            fp_mode: "ftz_daz".into(),
             entries,
         }
     }
@@ -494,9 +507,20 @@ mod tests {
         assert_eq!(parsed.git_sha, "");
         assert_eq!(parsed.kernel_backend, "");
         assert_eq!(parsed.tempest_threads, "");
+        assert_eq!(parsed.fp_mode, "");
         assert_eq!(parsed.entries[0].ai, 0.0);
         assert_eq!(parsed.entries[0].roof_pct, 0.0);
         assert_eq!(parsed.entries[0].reuse_pct, 0.0);
+    }
+
+    #[test]
+    fn unset_thread_cap_is_written_as_unset() {
+        let mut r = report(vec![entry("acoustic-so4", 0.5)]);
+        r.tempest_threads.clear();
+        let js = r.to_json();
+        assert!(js.contains("\"tempest_threads\": \"unset\""), "{js}");
+        assert!(!js.contains("unnamed"), "{js}");
+        assert_eq!(BenchReport::from_json(&js).unwrap(), r);
     }
 
     #[test]

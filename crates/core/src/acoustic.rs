@@ -25,6 +25,7 @@ use crate::trace::TraceBuffer;
 use tempest_obs as obs;
 use tempest_grid::{Array2, Array3, DampingMask, Model, Range3, Shape};
 use tempest_sparse::SparsePoints;
+use tempest_stencil::fpenv::FlushDenormals;
 use tempest_stencil::kernels::{laplacian_at, laplacian_at_r, AxisWeights};
 use tempest_stencil::metrics::acoustic_cost;
 use tempest_stencil::simd::LANE;
@@ -227,6 +228,9 @@ impl Acoustic {
     /// `KernelPath` is resolved to a concrete backend here (a cached
     /// lookup), so every schedule picks up the same dispatch decision.
     fn step_region(&self, k: usize, region: &Range3, mode: SparseMode, kernel: KernelPath) {
+        // Every schedule, backend and worker computes in the same FP mode
+        // because the guard is taken here, at the leaf (DESIGN.md §10).
+        let _fp = FlushDenormals::new();
         let _sp = obs::trace::span(obs::trace::SpanKind::Stencil, obs::trace::SpanArgs::step(k));
         match kernel.resolve() {
             Backend::Scalar => match self.radius {
@@ -602,6 +606,7 @@ impl Acoustic {
     /// Classic per-timestep sparse operators (Listing 1), run between dense
     /// sweeps of the space-blocked schedule.
     fn classic_after_step(&self, k: usize) {
+        let _fp = FlushDenormals::new();
         let sw = obs::start(obs::Phase::Sparse);
         let _sp = obs::trace::span(obs::trace::SpanKind::Sparse, obs::trace::SpanArgs::step(k));
         let mut injections = 0u64;
@@ -809,6 +814,9 @@ impl Acoustic {
         let (Some(rec), Some(trace)) = (self.rec.as_ref(), self.trace.as_ref()) else {
             return;
         };
+        // The cold solve gathered inside `step_region`'s FP mode; the replay
+        // must round `w · v` the same way to stay bit-for-bit.
+        let _fp = FlushDenormals::new();
         let mut gathers = 0u64;
         for sp in &payload.slabs {
             let k = sp.slab.vt;

@@ -30,6 +30,7 @@ use crate::trace::TraceBuffer;
 use tempest_obs as obs;
 use tempest_grid::{Array2, Array3, DampingMask, ElasticModel, Range3, Shape};
 use tempest_sparse::SparsePoints;
+use tempest_stencil::fpenv::FlushDenormals;
 use tempest_stencil::kernels::{staggered_diff_bwd_r, staggered_diff_fwd_r, staggered_weights};
 use tempest_stencil::simd::LANE;
 use tempest_stencil::Backend;
@@ -170,6 +171,7 @@ impl Elastic {
     /// Compute virtual step `vt` for `region`. Even `vt` = velocity phase of
     /// timestep `vt/2`; odd = stress phase.
     fn step_region(&self, vt: usize, region: &Range3, mode: SparseMode, kernel: KernelPath) {
+        let _fp = FlushDenormals::new();
         let _sp = obs::trace::span(obs::trace::SpanKind::Stencil, obs::trace::SpanArgs::step(vt));
         let t = vt >> 1;
         match (kernel.resolve(), self.radius, vt & 1) {
@@ -569,6 +571,7 @@ impl Elastic {
 
     /// Classic per-timestep sparse operators (space-blocked baseline only).
     fn classic_after_step(&self, t: usize) {
+        let _fp = FlushDenormals::new();
         let sw = obs::start(obs::Phase::Sparse);
         let _sp = obs::trace::span(obs::trace::SpanKind::Sparse, obs::trace::SpanArgs::step(t));
         let mut injections = 0u64;

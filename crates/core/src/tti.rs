@@ -29,6 +29,7 @@ use crate::trace::TraceBuffer;
 use tempest_obs as obs;
 use tempest_grid::{Array2, Array3, DampingMask, Range3, Shape, TtiModel};
 use tempest_sparse::SparsePoints;
+use tempest_stencil::fpenv::FlushDenormals;
 use tempest_stencil::kernels::{
     cross_diff_r, first_derivative_weights, second_diff_axis_r, AxisWeights,
 };
@@ -169,6 +170,7 @@ impl Tti {
     }
 
     fn step_region(&self, k: usize, region: &Range3, mode: SparseMode, kernel: KernelPath) {
+        let _fp = FlushDenormals::new();
         let _sp = obs::trace::span(obs::trace::SpanKind::Stencil, obs::trace::SpanArgs::step(k));
         match (kernel.resolve(), self.radius) {
             (Backend::Scalar, 2) => self.step_r::<2>(k, region, mode),
@@ -435,6 +437,7 @@ impl Tti {
 
     /// Classic per-timestep sparse operators (space-blocked baseline only).
     fn classic_after_step(&self, k: usize) {
+        let _fp = FlushDenormals::new();
         let sw = obs::start(obs::Phase::Sparse);
         let _sp = obs::trace::span(obs::trace::SpanKind::Sparse, obs::trace::SpanArgs::step(k));
         let mut injections = 0u64;

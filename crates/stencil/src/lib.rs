@@ -25,12 +25,17 @@
 //! behind the [`backend::KernelBackend`] trait, selected at runtime by the
 //! [`backend`] dispatcher (CPU feature detection, `TEMPEST_KERNEL`
 //! override). All are bitwise-identical by contract.
+//!
+//! [`fpenv::FlushDenormals`] sets the flush-to-zero floating-point mode the
+//! propagators take around every step, so subnormal wavefield fringes do
+//! not fall onto the slow microcode path.
 
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;
 pub mod backend;
 pub mod coeffs;
 pub mod descriptor;
+pub mod fpenv;
 pub mod kernels;
 pub mod metrics;
 pub mod simd;

@@ -15,7 +15,7 @@
 //! The CI `incremental` job re-runs this suite under `TEMPEST_THREADS` of
 //! 1, 2 and 4; nothing here may depend on the pool size.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use tempest::core::config::EquationKind;
 use tempest::core::operator::{DiamondAxis, KernelPath, Schedule, SparseMode};
@@ -31,6 +31,15 @@ use tempest::tiling::{DiamondSpec, WavefrontSpec};
 
 const N: usize = 32;
 const NT: usize = 6;
+
+/// Every test that runs a solver holds this lock. The counter oracles
+/// (obs feature) read process-wide counters, which a solver run on another
+/// test thread would bump mid-check.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn domain() -> Domain {
     Domain::uniform(Shape::cube(N), 10.0)
@@ -246,6 +255,7 @@ fn cone_extremes() {
 /// tiles, with `reused + recomputed == total`.
 #[test]
 fn warm_rerun_is_bitwise_and_reuses_tiles() {
+    let _serial = serial();
     for (label, schedule) in schedules() {
         for cap in [1usize, 2, 4] {
             let what = format!("{label} cap{cap}");
@@ -298,6 +308,7 @@ fn warm_rerun_is_bitwise_and_reuses_tiles() {
 /// Sequential policy is the cap-1 determinism anchor: traces bitwise too.
 #[test]
 fn warm_rerun_sequential_traces_are_bitwise() {
+    let _serial = serial();
     for (label, schedule) in schedules() {
         let ex = exec(schedule, Policy::Sequential);
         let cache = TileCache::with_capacity_mb(256);
@@ -318,6 +329,7 @@ fn warm_rerun_sequential_traces_are_bitwise() {
 /// set matches a cold run bitwise.
 #[test]
 fn receiver_only_delta_recomputes_nothing() {
+    let _serial = serial();
     for (label, schedule) in schedules() {
         let ex = exec(schedule, Policy::Sequential);
         let cache = TileCache::with_capacity_mb(256);
@@ -336,9 +348,82 @@ fn receiver_only_delta_recomputes_nothing() {
     }
 }
 
+/// Receivers in the subnormal-range fringe of an SO8 wavefront, where the
+/// floating-point mode decides the bits. The source sits a third of the
+/// way along the diagonal, the receivers towards the far corner. Each
+/// receiver lies on a grid column (x, y on the grid) with z a hair off it,
+/// so one of its two weights is 0.002 and `w · v` is subnormal for field
+/// values up to ~6e-36, of which the fringe holds many. One task adds all
+/// of a sample's contributions in a fixed order, so the trace is bitwise at
+/// every cap. The warm rerun restores every tile and replays the gathers:
+/// a replay computed in another FP mode than the cold solve's steps shows
+/// up as a trace bit mismatch.
+#[test]
+fn warm_gather_replay_in_the_fringe_is_bitwise() {
+    let _serial = serial();
+    const NT_FRINGE: usize = 16;
+    let d = domain();
+    let (o, h) = (d.origin(), d.spacing());
+    let at = |i: [usize; 3], dz: f32| {
+        [0, 1, 2].map(|a| o[a] + i[a] as f32 * h[a] + if a == 2 { dz * h[2] } else { 0.0 })
+    };
+    let fringe_problem = |rec: &[[usize; 3]]| {
+        let model = Model::two_layer(d, 1600.0, 2800.0, 0.5);
+        let cfg = SimConfig::new(d, 8, EquationKind::Acoustic, 2800.0, 500.0).with_nt(NT_FRINGE);
+        let src = SparsePoints::new(&d, vec![at([10, 10, 10], 0.37)]);
+        let rec = SparsePoints::new(&d, rec.iter().map(|&i| at(i, 0.002)).collect());
+        Acoustic::new(&model, cfg, src, Some(rec))
+    };
+    let fringe = [
+        [16, 29, 30],
+        [18, 26, 26],
+        [19, 28, 30],
+        [21, 25, 26],
+        [21, 29, 22],
+        [19, 30, 30],
+    ];
+    let schedules = [
+        Schedule::SpaceBlocked {
+            block_x: 8,
+            block_y: 8,
+        },
+        Schedule::WavefrontDataflow {
+            tile_x: 8,
+            tile_y: 8,
+            tile_t: 4,
+            block_x: 4,
+            block_y: 4,
+        },
+    ];
+    for schedule in schedules {
+        for cap in [1usize, 2, 4] {
+            let ex = exec(schedule, Policy::Capped { threads: cap });
+            let what = format!("{} cap{cap}", ex.schedule_label());
+            let cache = TileCache::with_capacity_mb(256);
+            fringe_problem(&[[16, 16, 16]]).run_incremental(&ex, &cache, 0);
+
+            let mut b = fringe_problem(&fringe);
+            let warm = b.run_incremental(&ex, &cache, 0);
+            assert_eq!(warm.recomputed, 0, "{what}: receiver delta dirtied stencil tiles");
+            assert_eq!(warm.reused, warm.total_tiles, "{what}");
+
+            let mut c = fringe_problem(&fringe);
+            c.run(&ex);
+            assert!(b.final_field().bit_equal(&c.final_field()), "{what}");
+            let (tb, tc) = (b.trace().unwrap(), c.trace().unwrap());
+            assert!(
+                tc.as_slice().iter().any(|v| *v != 0.0 && v.abs() < 1e-30),
+                "{what}: receivers must sample the fringe"
+            );
+            trace_bitwise(&tb, &tc, &what);
+        }
+    }
+}
+
 /// An unchanged resubmission reuses every tile.
 #[test]
 fn identical_rerun_reuses_everything() {
+    let _serial = serial();
     let ex = exec(schedules()[0].1, Policy::Sequential);
     let cache = TileCache::with_capacity_mb(256);
     problem(0.37).run_incremental(&ex, &cache, 0);
@@ -358,6 +443,7 @@ fn identical_rerun_reuses_everything() {
 /// executor and the wavefield + trace are bitwise-identical to `run`.
 #[test]
 fn disabled_cache_is_bitwise_identical_to_plain_run() {
+    let _serial = serial();
     for (label, schedule) in schedules() {
         let ex = exec(schedule, Policy::Sequential);
         let cache = TileCache::with_capacity_mb(0);
@@ -385,6 +471,7 @@ fn disabled_cache_is_bitwise_identical_to_plain_run() {
 /// cache, and both jobs' gathers are byte-identical.
 #[test]
 fn service_reuses_tiles_across_jobs() {
+    let _serial = serial();
     let svc = SurveyService::paused();
     let Some(cache) = svc.tile_cache().cloned() else {
         // TEMPEST_CACHE_MB=0 in the environment disables the service cache;
@@ -445,14 +532,10 @@ fn service_reuses_tiles_across_jobs() {
 #[cfg(feature = "obs")]
 mod counters {
     use super::*;
-    use std::sync::{Mutex, MutexGuard};
     use tempest::obs::{self, Counter};
 
-    /// Global-counter tests cannot overlap: the registry is process-wide.
-    static LOCK: Mutex<()> = Mutex::new(());
-
     fn guard() -> MutexGuard<'static, ()> {
-        let g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let g = serial();
         obs::set_enabled(true);
         obs::reset();
         g
