@@ -107,6 +107,9 @@ fn check(model: &str, solver: &mut dyn WaveSolver) {
             assert!(f.max_abs() > 0.0, "{what}: field must be excited");
             let tr: Array2<f32> = solver.trace().expect("receivers attached");
             let (in_field, in_trace) = (subnormals(f.as_slice()), subnormals(tr.as_slice()));
+            if !fpenv::FLUSHES {
+                continue; // IEEE-only target: the guard is a no-op.
+            }
             assert_eq!(
                 (in_field, in_trace),
                 (0, 0),
