@@ -20,12 +20,14 @@
 //! * [`model`] — material parameter volumes (velocity, density, Thomsen
 //!   parameters) with homogeneous / layered / randomly perturbed builders.
 //! * [`boundary`] — absorbing boundary (sponge) damping profiles.
+//! * [`digest`] — a multi-lane word hash that fingerprints `f32` volumes.
 //!
 //! All arrays store `f32` wavefields by default (single precision, matching
 //! the paper's §IV.B setup) but the containers are generic.
 
 pub mod array;
 pub mod boundary;
+pub mod digest;
 pub mod domain;
 pub mod field;
 pub mod model;
@@ -35,6 +37,7 @@ pub mod timebuffer;
 
 pub use array::{Array2, Array3};
 pub use boundary::DampingMask;
+pub use digest::WordHasher;
 pub use domain::Domain;
 pub use field::Field;
 pub use model::{ElasticModel, Model, TtiModel};

@@ -279,7 +279,7 @@ where
         survey.cfg().clone(),
         survey.receivers().cloned(),
     );
-    let exec = tuned_exec(survey, opts);
+    let exec = tuned_exec(survey, &assets, opts);
     exec.validate();
 
     let completed = AtomicUsize::new(0);
@@ -419,9 +419,11 @@ fn tune_key(survey: &Survey, opts: &SurveyOptions) -> u64 {
 }
 
 /// Resolve the execution for this run, autotuning the space-block shape on
-/// a short probe solve when requested. The tuned result is shared by every
-/// shot and batch of the run — `Counter::BatchAutotune` counts once.
-fn tuned_exec(survey: &Survey, opts: &SurveyOptions) -> Execution {
+/// a short probe solve when requested. The probe runs on the run's own
+/// `assets` with only `nt` shortened, so it builds no volumes. The tuned
+/// result is shared by every shot and batch of the run —
+/// `Counter::BatchAutotune` counts once.
+fn tuned_exec(survey: &Survey, assets: &ShotAssets, opts: &SurveyOptions) -> Execution {
     let mut exec = opts.exec;
     if !opts.tune || survey.is_empty() {
         return exec;
@@ -442,8 +444,7 @@ fn tuned_exec(survey: &Survey, opts: &SurveyOptions) -> Execution {
         exec.schedule = Schedule::SpaceBlocked { block_x, block_y };
         return exec;
     }
-    let probe_cfg = cfg.clone().with_nt(cfg.nt.clamp(2, 6));
-    let probe_assets = ShotAssets::new(survey.model(), probe_cfg, None);
+    let probe_assets = assets.without_receivers().with_nt(cfg.nt.clamp(2, 6));
     let shape = cfg.shape();
     let mut best = (f64::INFINITY, exec.schedule);
     for cand in tempest_tiling::spaceblock_candidates(shape.nx, shape.ny) {

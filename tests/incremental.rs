@@ -23,7 +23,7 @@ use tempest::core::{Acoustic, Execution, SimConfig, WaveSolver};
 use tempest::grid::{Array2, Domain, Model, Shape};
 use tempest::par::Policy;
 use tempest::sparse::SparsePoints;
-use tempest::survey::{JobSpec, JobState, Survey, SurveyOptions, SurveyService};
+use tempest::survey::{run_survey, JobSpec, JobState, Survey, SurveyOptions, SurveyService};
 use tempest::tiling::incremental::{
     dirty_cone, dirty_cone_oracle, DirtyRect, TileCache, TilePlan,
 };
@@ -305,6 +305,84 @@ fn warm_rerun_is_bitwise_and_reuses_tiles() {
     }
 }
 
+/// A cold run whose payload is several times the cache budget captures
+/// only the tiles the budget holds: none of its captures evicts another,
+/// and the bytes held never exceed the capacity. Its nudged rerun restores
+/// those tiles and is bitwise-identical to a cold solve at caps 1/2/4.
+#[test]
+fn over_budget_run_keeps_what_fits_and_rerun_reuses_it() {
+    let _serial = serial();
+    const BIG: usize = 48;
+    let d = Domain::uniform(Shape::cube(BIG), 10.0);
+    let big = |frac: f32| {
+        let model = Model::two_layer(d, 1600.0, 2800.0, 0.5);
+        let cfg = SimConfig::new(d, 4, EquationKind::Acoustic, 2800.0, 50.0)
+            .with_nt(NT)
+            .with_f0(25.0);
+        let src = SparsePoints::single_center(&d, frac);
+        let rec = SparsePoints::receiver_line(&d, 4, 0.2);
+        Acoustic::new(&model, cfg, src, Some(rec))
+    };
+    for (label, schedule) in schedules() {
+        for cap in [1usize, 2, 4] {
+            let what = format!("{label} cap{cap}");
+            let ex = exec(schedule, Policy::Capped { threads: cap });
+            let cache = TileCache::with_capacity_mb(1);
+            let payload = BIG * BIG * BIG * NT * std::mem::size_of::<f32>();
+            assert!(
+                payload > 2 * cache.capacity_bytes(),
+                "{what}: sweep must exceed the budget"
+            );
+
+            let cold = big(0.37).run_incremental(&ex, &cache, 0);
+            assert!(cold.cold, "{what}");
+            let s = cache.stats();
+            assert_eq!(s.evictions, 0, "{what}: a run evicted its own captures");
+            assert!(
+                s.bytes <= cache.capacity_bytes(),
+                "{what}: {} > cap",
+                s.bytes
+            );
+            assert!(
+                s.entries > 0 && s.entries < cold.total_tiles,
+                "{what}: {} of {} tiles kept",
+                s.entries,
+                cold.total_tiles
+            );
+
+            let mut b = big(0.61);
+            let warm = b.run_incremental(&ex, &cache, 0);
+            assert!(!warm.cold, "{what}");
+            assert!(
+                warm.reused > 0,
+                "{what}: the kept tiles must serve the rerun"
+            );
+            assert_eq!(warm.reused + warm.recomputed, warm.total_tiles, "{what}");
+            let s = cache.stats();
+            assert_eq!(s.evictions, 0, "{what}: the rerun evicted kept tiles");
+            assert!(
+                s.bytes <= cache.capacity_bytes(),
+                "{what}: {} > cap",
+                s.bytes
+            );
+
+            let mut c = big(0.61);
+            c.run(&ex);
+            assert!(
+                b.final_field().bit_equal(&c.final_field()),
+                "{what}: incremental field differs from cold rerun (max diff {})",
+                b.final_field().max_abs_diff(&c.final_field())
+            );
+            let (tb, tc) = (b.trace().unwrap(), c.trace().unwrap());
+            if cap == 1 {
+                trace_bitwise(&tb, &tc, &what);
+            } else {
+                trace_close(&tb, &tc, 1e-4, &what);
+            }
+        }
+    }
+}
+
 /// Sequential policy is the cap-1 determinism anchor: traces bitwise too.
 #[test]
 fn warm_rerun_sequential_traces_are_bitwise() {
@@ -522,6 +600,74 @@ fn service_reuses_tiles_across_jobs() {
     for (x, y) in ga.iter().zip(&gb) {
         let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
         trace_bitwise(x, y, "cross-job gather");
+    }
+}
+
+/// The session key covers every coefficient cell through the assets'
+/// digest: a job on a model that differs from the previous job's in one
+/// cell restores no tile from it, and its gathers equal a cache-off solve.
+#[test]
+fn service_job_on_a_one_cell_model_change_restores_nothing() {
+    let _serial = serial();
+    let svc = SurveyService::paused();
+    let Some(cache) = svc.tile_cache().cloned() else {
+        return; // TEMPEST_CACHE_MB=0: nothing is cached to begin with
+    };
+    let d = Domain::uniform(Shape::cube(16), 10.0);
+    let cfg = SimConfig::new(d, 4, EquationKind::Acoustic, 2000.0, 30.0)
+        .with_nt(4)
+        .with_boundary(2, 0.3);
+    let survey_on = |model: Model| {
+        let mut s =
+            Survey::new(model, cfg.clone()).with_receivers(SparsePoints::receiver_line(&d, 3, 0.2));
+        s.add_shot_line(2, 0.1);
+        Arc::new(s)
+    };
+    let opts = SurveyOptions {
+        exec: exec(
+            Schedule::SpaceBlocked {
+                block_x: 8,
+                block_y: 8,
+            },
+            Policy::Sequential,
+        ),
+        ..Default::default()
+    };
+    let model = Model::homogeneous(d, 2000.0);
+    let mut changed = model.clone();
+    let cell = changed.m.len() / 3;
+    changed.m.as_mut_slice()[cell] *= 1.0001;
+
+    svc.submit(JobSpec::new(survey_on(model)).with_opts(opts.clone()));
+    assert_eq!(svc.drain(), 1);
+    let before = cache.stats();
+    assert!(before.entries > 0, "first job must populate the cache");
+
+    let changed = survey_on(changed);
+    let id = svc.submit(JobSpec::new(Arc::clone(&changed)).with_opts(opts.clone()));
+    assert_eq!(svc.drain(), 1);
+    assert_eq!(svc.poll(id).unwrap().state, JobState::Completed);
+    assert_eq!(
+        cache.stats().hits,
+        before.hits,
+        "a one-cell model change must not restore tiles of the previous job"
+    );
+    let got = svc.take_gathers(id).unwrap();
+    let want = run_survey(
+        &changed,
+        &SurveyOptions {
+            cache: None,
+            ..opts
+        },
+    )
+    .unwrap();
+    assert_eq!(got.len(), want.len());
+    for (g, w) in got.iter().zip(&want) {
+        trace_bitwise(
+            g.as_ref().unwrap(),
+            w.gather.as_ref().unwrap(),
+            "changed-model job",
+        );
     }
 }
 
