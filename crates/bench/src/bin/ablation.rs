@@ -50,7 +50,6 @@ fn scalar_vs_pencil(args: &HarnessArgs) {
         tile_t: 8.min(args.nt),
         block_x: 8,
         block_y: 8,
-        diagonal: false,
         dataflow: false,
         diamond: None,
         kernel: None,
@@ -121,7 +120,6 @@ fn skewing_vs_tiling(args: &HarnessArgs) {
         tile_t: tt,
         block_x: 8,
         block_y: 8,
-        diagonal: false,
         dataflow: false,
         diamond: None,
         kernel: None,
@@ -132,7 +130,6 @@ fn skewing_vs_tiling(args: &HarnessArgs) {
         tile_t: tt,
         block_x: 8,
         block_y: 8,
-        diagonal: false,
         dataflow: false,
         diamond: None,
         kernel: None,
@@ -157,7 +154,6 @@ fn listing4_vs_listing5(args: &HarnessArgs) {
         tile_t: 8.min(args.nt),
         block_x: 8,
         block_y: 8,
-        diagonal: false,
         dataflow: false,
         diamond: None,
         kernel: None,
@@ -209,8 +205,7 @@ fn tile_height_sweep(args: &HarnessArgs) {
             tile_t: tt,
             block_x: 8,
             block_y: 8,
-            diagonal: false,
-            dataflow: false,
+                dataflow: false,
             diamond: None,
             kernel: None,
         };

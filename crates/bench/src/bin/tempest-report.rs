@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run -p tempest-bench --release --features obs --bin tempest-report -- \
 //!     [--size 64] [--nt 8] [--so 4] [--fast] [--model acoustic,tti,elastic] \
-//!     [--schedules wavefront-diag,wavefront-dataflow,diamond] [--list-schedules] \
+//!     [--schedules wavefront,wavefront-dataflow,diamond] [--list-schedules] \
 //!     [--kernel auto|scalar|portable|avx2|both] [--list-kernels] \
 //!     [--repeats 2] [--out results] [--trace] \
 //!     [--baseline results/baseline.json] [--check-baseline] [--write-baseline] \
@@ -156,7 +156,7 @@ fn parse_args() -> ReportArgs {
                 eprintln!(
                     "options: --size N --nt N --so N --fast \
                      --model acoustic,tti,elastic \
-                     --schedules spaceblocked,wavefront,wavefront-diag,wavefront-dataflow,diamond,survey,incremental \
+                     --schedules spaceblocked,wavefront,wavefront-dataflow,diamond,survey,incremental \
                      --list-schedules \
                      --kernel auto|scalar|portable|avx2|both --list-kernels \
                      --repeats N --out DIR --trace \
@@ -178,7 +178,7 @@ fn kernel_label(k: KernelPath) -> &'static str {
 }
 
 /// Parse `--kernel`: one name per `KernelPath::parse` (`auto`, `scalar`,
-/// `pencil`/`portable`, `avx2`), a comma list of those, or the sweep words
+/// `portable`, `avx2`), a comma list of those, or the sweep words
 /// `both`/`all` (= every backend *available* on this host, so a CI loop can
 /// pass the same flag everywhere). Unknown names exit 2, matching the
 /// `--schedules` contract.
@@ -225,7 +225,6 @@ fn list_kernels() {
         "auto       resolves to the best available backend (currently: {})",
         tempest_stencil::backend::detect_best()
     );
-    println!("pencil     alias for portable");
 }
 
 /// The survey pseudo-schedule: not an [`Execution`] but a whole multi-shot
@@ -243,7 +242,6 @@ fn schedules(filter: Option<&[String]>) -> Vec<(&'static str, Execution)> {
     let all = vec![
         ("spaceblocked", Execution::baseline()),
         ("wavefront", Execution::wavefront_default()),
-        ("wavefront-diag", Execution::wavefront_diagonal_default()),
         ("wavefront-dataflow", Execution::wavefront_dataflow_default()),
         ("diamond", Execution::diamond_default()),
     ];

@@ -21,7 +21,7 @@ use tempest_obs::json::Value;
 pub struct BenchEntry {
     /// Solver + space order, e.g. `acoustic-so4`.
     pub model: String,
-    /// Sanitized schedule label, e.g. `wavefront-diag_64x64_t8_8x8`.
+    /// Sanitized schedule label, e.g. `wavefront-dflow_64x64_t8_8x8`.
     pub schedule: String,
     /// Resolved row-kernel backend: `scalar`, `portable`, or `avx2`.
     pub kernel: String,

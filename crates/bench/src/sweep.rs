@@ -12,9 +12,8 @@ use tempest_obs as obs;
 use tempest_par::Policy;
 use tempest_tiling::{autotune, autotune_measured, Candidate, MeasuredResult, Measurement, TuneResult};
 
-/// Execution for a WTB candidate (slab-ordered, diagonal-parallel,
-/// dependency-driven dataflow, or diamond, per the candidate's
-/// `diagonal`/`dataflow`/`diamond` flags). Diamond candidates reuse
+/// Execution for a WTB candidate (slab-ordered, dependency-driven dataflow,
+/// or diamond, per the candidate's `dataflow`/`diamond` flags). Diamond candidates reuse
 /// `tile_x` as the diamond base width and `tile_y` as the cross-axis
 /// window extent.
 pub fn exec_wavefront(c: &Candidate) -> Execution {
@@ -29,14 +28,6 @@ pub fn exec_wavefront(c: &Candidate) -> Execution {
         }
     } else if c.dataflow {
         Schedule::WavefrontDataflow {
-            tile_x: c.tile_x,
-            tile_y: c.tile_y,
-            tile_t: c.tile_t,
-            block_x: c.block_x,
-            block_y: c.block_y,
-        }
-    } else if c.diagonal {
-        Schedule::WavefrontDiagonal {
             tile_x: c.tile_x,
             tile_y: c.tile_y,
             tile_t: c.tile_t,
@@ -115,7 +106,7 @@ pub fn measure_profiled<S: WaveSolver>(
 
 /// Like [`tune_wavefront`], but rank with measured telemetry: candidates
 /// within `tie_margin` of the fastest are separated by barrier-wait share
-/// (slab-ordered vs diagonal-parallel shapes often tie on time on short
+/// (slab-ordered vs dataflow shapes often tie on time on short
 /// tuning runs; the synchronisation profile is the more stable signal).
 /// Without profiling compiled in/enabled this degrades to time-only
 /// ranking.
@@ -224,11 +215,6 @@ mod tests {
             exec_wavefront(&c).schedule,
             Schedule::WavefrontDataflow { tile_x: 16, tile_y: 16, tile_t: 4, .. }
         ));
-        let d = base.with_diagonal();
-        assert!(matches!(
-            exec_wavefront(&d).schedule,
-            Schedule::WavefrontDiagonal { .. }
-        ));
     }
 
     #[test]
@@ -253,7 +239,7 @@ mod tests {
                 ..
             }
         ));
-        // The diamond flag wins over diagonal/dataflow leftovers.
+        // No executor flag selects the slab-ordered wavefront.
         assert!(matches!(
             exec_wavefront(&base).schedule,
             Schedule::Wavefront { .. }

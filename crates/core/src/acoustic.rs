@@ -31,10 +31,9 @@ use tempest_stencil::metrics::acoustic_cost;
 use tempest_stencil::simd::LANE;
 use tempest_stencil::Backend;
 use tempest_tiling::incremental::{
-    dirty_cone, execute_incremental, DirtyRect, SlabPayload, SourceSig, TileCache, TilePayload,
-    TilePlan,
+    dirty_cone, DirtyRect, SlabPayload, SourceSig, TileCache, TilePayload,
 };
-use tempest_tiling::{diamond, spaceblock, wavefront, Slab};
+use tempest_tiling::{execute_plan, Slab, TilePlan};
 
 /// The isotropic acoustic propagator.
 pub struct Acoustic {
@@ -962,18 +961,9 @@ impl Acoustic {
         let started = Instant::now();
         let shape = self.shape();
         let nt = self.cfg.nt;
-        let plan = match ex.schedule {
-            Schedule::SpaceBlocked { block_x, block_y } => {
-                TilePlan::spaceblocked(shape, nt, block_x, block_y, self.radius)
-            }
-            Schedule::WavefrontDataflow { .. } => {
-                TilePlan::wavefront(shape, nt, &ex.wavefront_spec(self.radius, 1), self.radius)
-            }
-            Schedule::Diamond { .. } => {
-                TilePlan::diamond(shape, nt, &ex.diamond_spec(self.radius, 1), self.radius)
-            }
-            _ => unreachable!("supports_incremental checked above"),
-        };
+        let plan = ex
+            .plan(shape, nt, self.radius, 1)
+            .expect("supports_incremental checked above");
         let sigs = self.source_sigs();
         let rec_digest = self.receiver_digest();
         let session = self.session_key(plan.geometry, ex.sparse, shot_key);
@@ -999,7 +989,7 @@ impl Acoustic {
         crate::operator::record_backend_run(ex.kernel.resolve());
         self.reset();
         let this: &Acoustic = self;
-        let outcome = execute_incremental(
+        execute_plan(
             &plan,
             ex.policy,
             &restore_ok,
@@ -1016,12 +1006,17 @@ impl Acoustic {
             },
         );
         let stats = RunStats::new(started.elapsed(), nt, shape);
+        // Every flagged node is restored and every other node computed.
+        let reused = restore_ok.iter().filter(|&&r| r).count();
+        let recomputed = plan.len() - reused;
+        obs::add(obs::Counter::TilesReused, reused as u64);
+        obs::add(obs::Counter::TilesRecomputed, recomputed as u64);
         cache.finish_run(session, sigs, rec_digest);
         IncrementalReport {
             stats,
-            total_tiles: outcome.total,
-            reused: outcome.reused,
-            recomputed: outcome.recomputed,
+            total_tiles: plan.len(),
+            reused,
+            recomputed,
             cold,
         }
     }
@@ -1084,48 +1079,19 @@ impl WaveSolver for Acoustic {
         let nt = self.cfg.nt;
         let started = Instant::now();
         let this: &Acoustic = self;
-        match exec.schedule {
-            Schedule::SpaceBlocked { .. } => {
-                let spec = exec.spaceblock_spec();
-                let classic = exec.sparse == SparseMode::Classic;
-                spaceblock::execute(
-                    shape,
-                    nt,
-                    spec,
-                    exec.policy,
-                    |k, region| this.step_region(k, region, exec.sparse, exec.kernel),
-                    |k| {
-                        if classic {
-                            this.classic_after_step(k);
-                        }
-                    },
-                );
-            }
-            Schedule::Wavefront { .. } => {
-                let spec = exec.wavefront_spec(self.radius, 1);
-                wavefront::execute(shape, nt, &spec, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::WavefrontDiagonal { .. } => {
-                let spec = exec.wavefront_spec(self.radius, 1);
-                wavefront::execute_diagonal(shape, nt, &spec, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::WavefrontDataflow { .. } => {
-                let spec = exec.wavefront_spec(self.radius, 1);
-                wavefront::execute_dataflow(shape, nt, &spec, self.radius, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::Diamond { .. } => {
-                let spec = exec.diamond_spec(self.radius, 1);
-                diamond::execute_diamond(shape, nt, &spec, self.radius, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-        }
+        let classic = exec.sparse == SparseMode::Classic;
+        exec.drive(
+            shape,
+            nt,
+            self.radius,
+            1,
+            |vt, region| this.step_region(vt, region, exec.sparse, exec.kernel),
+            |k| {
+                if classic {
+                    this.classic_after_step(k);
+                }
+            },
+        );
         RunStats::new(started.elapsed(), nt, shape)
     }
 
@@ -1201,63 +1167,15 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_matches_baseline_bitwise() {
-        for so in [4usize, 8] {
-            let mut a = small_setup(so, 16);
-            a.run(&Execution::baseline().sequential());
-            let base = a.final_field();
-
-            let mut exec = Execution::wavefront_diagonal_default().sequential();
-            exec.schedule = Schedule::WavefrontDiagonal {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 4,
-                block_x: 4,
-                block_y: 4,
-            };
-            a.run(&exec);
-            let dg = a.final_field();
-            assert!(
-                base.bit_equal(&dg),
-                "so={so}: diagonal WTB must be bitwise identical, max diff {}",
-                base.max_abs_diff(&dg)
-            );
-        }
-    }
-
-    #[test]
-    fn diagonal_parallel_matches_sequential_bitwise() {
-        let mut a = small_setup(4, 12);
-        let mut exec = Execution::wavefront_diagonal_default().sequential();
-        exec.schedule = Schedule::WavefrontDiagonal {
-            tile_x: 8,
-            tile_y: 8,
-            tile_t: 4,
-            block_x: 4,
-            block_y: 4,
-        };
-        a.run(&exec);
-        let seq = a.final_field();
-        exec.policy = tempest_par::Policy::Parallel;
-        a.run(&exec);
-        let par = a.final_field();
-        assert!(
-            seq.bit_equal(&par),
-            "concurrent diagonal tiles must not change the wavefield, max diff {}",
-            seq.max_abs_diff(&par)
-        );
-    }
-
-    #[test]
-    fn dataflow_matches_diagonal_bitwise_across_policies() {
-        // Tentpole acceptance: the dependency-driven executor must reproduce
-        // the diagonal-barrier executor bit-for-bit under every policy,
-        // including capped worker counts that force stealing imbalance.
+    fn dataflow_matches_slab_ordered_bitwise_across_policies() {
+        // The dependency-driven executor must reproduce the slab-ordered
+        // barrier executor bit-for-bit under every policy, including capped
+        // worker counts that force stealing imbalance.
         use tempest_par::Policy;
         for so in [4usize, 8] {
             let mut a = small_setup(so, 16);
-            let mut dg = Execution::wavefront_diagonal_default().sequential();
-            dg.schedule = Schedule::WavefrontDiagonal {
+            let mut dg = Execution::wavefront_default().sequential();
+            dg.schedule = Schedule::Wavefront {
                 tile_x: 8,
                 tile_y: 8,
                 tile_t: 4,
@@ -1286,7 +1204,7 @@ mod tests {
                 let got = a.final_field();
                 assert!(
                     want.bit_equal(&got),
-                    "so={so} policy={pol:?}: dataflow must match diagonal bitwise, max diff {}",
+                    "so={so} policy={pol:?}: dataflow must match slab-ordered bitwise, max diff {}",
                     want.max_abs_diff(&got)
                 );
             }
@@ -1469,64 +1387,9 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_fused_sparse_modes_agree_bitwise() {
-        // Fused source/receiver work must land on the correct vt regardless
-        // of which tile of a diagonal reaches a pencil.
-        let mut a = small_setup(4, 12);
-        let mut e1 = Execution::wavefront_diagonal_default().sequential();
-        e1.schedule = Schedule::WavefrontDiagonal {
-            tile_x: 8,
-            tile_y: 8,
-            tile_t: 4,
-            block_x: 8,
-            block_y: 8,
-        };
-        e1.policy = tempest_par::Policy::Parallel;
-        let mut e2 = e1;
-        e1.sparse = SparseMode::Fused;
-        e2.sparse = SparseMode::FusedCompressed;
-        a.run(&e1);
-        let f1 = a.final_field();
-        a.run(&e2);
-        let f2 = a.final_field();
-        assert!(f1.bit_equal(&f2), "Listing 4 vs 5 under diagonal executor");
-    }
-
-    #[test]
-    fn diagonal_tile_t_one_degrades_to_spaceblocked_bitwise() {
-        // tile_t = 1: every diagonal pass is one slab per tile at a single
-        // vt — the schedule is per-timestep spatial blocking.
-        let mut a = small_setup(4, 10);
-        let mut sb = Execution::baseline().sequential();
-        sb.schedule = Schedule::SpaceBlocked {
-            block_x: 4,
-            block_y: 4,
-        };
-        sb.sparse = SparseMode::Fused;
-        a.run(&sb);
-        let base = a.final_field();
-        let mut dg = Execution::wavefront_diagonal_default().sequential();
-        dg.schedule = Schedule::WavefrontDiagonal {
-            tile_x: 8,
-            tile_y: 8,
-            tile_t: 1,
-            block_x: 4,
-            block_y: 4,
-        };
-        dg.sparse = SparseMode::Fused;
-        a.run(&dg);
-        let f = a.final_field();
-        assert!(
-            base.bit_equal(&f),
-            "tile_t=1 diagonal must equal space blocking, max diff {}",
-            base.max_abs_diff(&f)
-        );
-    }
-
-    #[test]
-    fn skewed_only_spec_under_diagonal_degrades_to_spaceblocked_bitwise() {
+    fn skewed_only_spec_under_dataflow_degrades_to_spaceblocked_bitwise() {
         // One spatial tile covering the whole skewed domain (skewed_only):
-        // every slab is a full-grid sweep, so the diagonal executor must
+        // every slab is a full-grid sweep, so the dataflow executor must
         // reproduce the spatially blocked result exactly.
         let n = 24;
         let (tile_t, so) = (4usize, 4usize);
@@ -1547,8 +1410,8 @@ mod tests {
             8,
             8,
         );
-        let mut dg = Execution::wavefront_diagonal_default().sequential();
-        dg.schedule = Schedule::WavefrontDiagonal {
+        let mut dg = Execution::wavefront_dataflow_default().sequential();
+        dg.schedule = Schedule::WavefrontDataflow {
             tile_x: spec.tile_x,
             tile_y: spec.tile_y,
             tile_t,
@@ -1560,7 +1423,7 @@ mod tests {
         let f = a.final_field();
         assert!(
             base.bit_equal(&f),
-            "skewed-only diagonal must equal space blocking, max diff {}",
+            "skewed-only dataflow must equal space blocking, max diff {}",
             base.max_abs_diff(&f)
         );
     }
@@ -1608,9 +1471,9 @@ mod tests {
         };
         a.run(&exec);
         let t_wf = a.trace().unwrap();
-        // Diagonal executor, parallel: trace accumulation order may differ
+        // Dataflow executor, parallel: trace accumulation order may differ
         // (atomic adds), so compare with the same tolerance.
-        exec.schedule = Schedule::WavefrontDiagonal {
+        exec.schedule = Schedule::WavefrontDataflow {
             tile_x: 12,
             tile_y: 12,
             tile_t: 5,
@@ -1637,7 +1500,7 @@ mod tests {
                 let d = (t_base.get(t, r) - t_dg.get(t, r)).abs();
                 assert!(
                     d <= 1e-4 * scale,
-                    "diag trace[{t}][{r}]: {} vs {}",
+                    "dataflow trace[{t}][{r}]: {} vs {}",
                     t_base.get(t, r),
                     t_dg.get(t, r)
                 );
@@ -1671,13 +1534,13 @@ mod tests {
         let scale = base.max_abs().max(1e-20);
         assert!(diff <= 1e-4 * scale, "rel diff {}", diff / scale);
 
-        // Diagonal execution with the same tile geometry is bitwise equal
+        // Dataflow execution with the same tile geometry is bitwise equal
         // to slab-ordered wave-front execution even with sources dense
         // enough that neighbouring tiles share affected pencils.
         exec.sparse = SparseMode::FusedCompressed;
         a.run(&exec);
         let wf = a.final_field();
-        exec.schedule = Schedule::WavefrontDiagonal {
+        exec.schedule = Schedule::WavefrontDataflow {
             tile_x: 8,
             tile_y: 8,
             tile_t: 4,
@@ -1689,7 +1552,7 @@ mod tests {
         let dg = a.final_field();
         assert!(
             wf.bit_equal(&dg),
-            "diagonal multi-source must be bitwise, max diff {}",
+            "dataflow multi-source must be bitwise, max diff {}",
             wf.max_abs_diff(&dg)
         );
     }

@@ -23,7 +23,7 @@
 use std::time::Instant;
 
 use crate::config::SimConfig;
-use crate::operator::{Execution, KernelPath, RunStats, Schedule, SparseMode, WaveSolver};
+use crate::operator::{Execution, KernelPath, RunStats, SparseMode, WaveSolver};
 use crate::shared::LevelRing;
 use crate::sources::{ReceiverBundle, SourceBundle};
 use crate::trace::TraceBuffer;
@@ -35,7 +35,6 @@ use tempest_stencil::kernels::{staggered_diff_bwd_r, staggered_diff_fwd_r, stagg
 use tempest_stencil::simd::LANE;
 use tempest_stencil::Backend;
 use tempest_stencil::metrics::elastic_cost;
-use tempest_tiling::{diamond, spaceblock, wavefront};
 
 /// The isotropic elastic velocity–stress propagator.
 pub struct Elastic {
@@ -631,52 +630,22 @@ impl WaveSolver for Elastic {
         let nvt = 2 * nt;
         let started = Instant::now();
         let this: &Elastic = self;
-        match exec.schedule {
-            Schedule::SpaceBlocked { .. } => {
-                let spec = exec.spaceblock_spec();
-                let classic = exec.sparse == SparseMode::Classic;
-                spaceblock::execute(
-                    shape,
-                    nvt,
-                    spec,
-                    exec.policy,
-                    |vt, region| this.step_region(vt, region, exec.sparse, exec.kernel),
-                    |vt| {
-                        // The classic sparse ops run once per *timestep*,
-                        // after its stress phase.
-                        if classic && vt & 1 == 1 {
-                            this.classic_after_step(vt >> 1);
-                        }
-                    },
-                );
-            }
-            Schedule::Wavefront { .. } => {
-                // Two virtual steps per timestep: the spec conversion
-                // doubles the temporal tile height (Fig. 8b).
-                let spec = exec.wavefront_spec(self.radius, 2);
-                wavefront::execute(shape, nvt, &spec, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::WavefrontDiagonal { .. } => {
-                let spec = exec.wavefront_spec(self.radius, 2);
-                wavefront::execute_diagonal(shape, nvt, &spec, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::WavefrontDataflow { .. } => {
-                let spec = exec.wavefront_spec(self.radius, 2);
-                wavefront::execute_dataflow(shape, nvt, &spec, self.radius, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::Diamond { .. } => {
-                let spec = exec.diamond_spec(self.radius, 2);
-                diamond::execute_diamond(shape, nvt, &spec, self.radius, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-        }
+        let classic = exec.sparse == SparseMode::Classic;
+        // Two virtual steps per timestep (velocity, then stress): the tile
+        // height doubles (Fig. 8b), and the classic sparse ops run once per
+        // *timestep*, after its stress phase.
+        exec.drive(
+            shape,
+            nvt,
+            self.radius,
+            2,
+            |vt, region| this.step_region(vt, region, exec.sparse, exec.kernel),
+            |vt| {
+                if classic && vt & 1 == 1 {
+                    this.classic_after_step(vt >> 1);
+                }
+            },
+        );
         RunStats::new(started.elapsed(), nt, shape)
     }
 
@@ -697,6 +666,7 @@ impl WaveSolver for Elastic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operator::Schedule;
     use crate::config::EquationKind;
     use tempest_grid::Domain;
 
@@ -748,46 +718,15 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_matches_baseline_bitwise() {
-        // The staggered scheme runs two virtual steps per timestep; the
-        // diagonal executor must keep the velocity/stress interleaving (and
-        // the fused source work on odd vt) intact in every tile.
-        for so in [4usize, 8] {
-            let mut e = setup(so, 12);
-            e.run(&Execution::baseline().sequential());
-            let base = e.final_field();
-            let mut exec = Execution::wavefront_diagonal_default().sequential();
-            exec.schedule = Schedule::WavefrontDiagonal {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 3,
-                block_x: 4,
-                block_y: 4,
-            };
-            e.run(&exec);
-            let dg = e.final_field();
-            assert!(
-                base.bit_equal(&dg),
-                "so={so}: elastic diagonal WTB must be bitwise identical, max diff {}",
-                base.max_abs_diff(&dg)
-            );
-            exec.policy = tempest_par::Policy::Parallel;
-            e.run(&exec);
-            let par = e.final_field();
-            assert!(base.bit_equal(&par), "so={so}: parallel diagonal differs");
-        }
-    }
-
-    #[test]
-    fn dataflow_matches_diagonal_bitwise_across_policies() {
+    fn dataflow_matches_slab_ordered_bitwise_across_policies() {
         // Two virtual steps per timestep (velocity then stress): the tile
         // dependency graph must keep the phase interleaving intact even
         // though the stress phase reads same-timestep velocities.
         use tempest_par::Policy;
         for so in [4usize, 8] {
             let mut e = setup(so, 12);
-            let mut dg = Execution::wavefront_diagonal_default().sequential();
-            dg.schedule = Schedule::WavefrontDiagonal {
+            let mut dg = Execution::wavefront_default().sequential();
+            dg.schedule = Schedule::Wavefront {
                 tile_x: 8,
                 tile_y: 8,
                 tile_t: 3,
@@ -816,7 +755,7 @@ mod tests {
                 let got = e.final_field();
                 assert!(
                     want.bit_equal(&got),
-                    "so={so} policy={pol:?}: elastic dataflow must match diagonal, max diff {}",
+                    "so={so} policy={pol:?}: elastic dataflow must match slab-ordered, max diff {}",
                     want.max_abs_diff(&got)
                 );
             }

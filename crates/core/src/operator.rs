@@ -4,11 +4,13 @@
 
 use std::time::Duration;
 
-use tempest_grid::{Array2, Array3, Shape};
+use tempest_grid::{Array2, Array3, Range3, Shape};
 use tempest_obs as obs;
 use tempest_par::Policy;
 use tempest_stencil::Backend;
-use tempest_tiling::{DiamondSpec, SpaceBlockSpec, WavefrontSpec};
+use tempest_tiling::{
+    execute_plan, spaceblock, wavefront, DiamondSpec, SpaceBlockSpec, TilePlan, WavefrontSpec,
+};
 
 pub use tempest_tiling::DiamondAxis;
 
@@ -58,12 +60,6 @@ pub enum KernelPath {
 }
 
 impl KernelPath {
-    /// Compatibility alias for the pre-backend name of the portable pencil
-    /// path. Matches in patterns (structural equality), so existing
-    /// `KernelPath::Pencil` call sites keep compiling.
-    #[allow(non_upper_case_globals)]
-    pub const Pencil: KernelPath = KernelPath::Portable;
-
     /// Resolve this selection to a concrete runnable backend, applying the
     /// documented precedence. `Auto` consults the process-wide dispatcher
     /// (`TEMPEST_KERNEL`, then CPU detection); a concrete variant is
@@ -85,8 +81,8 @@ impl KernelPath {
     }
 
     /// Parse a `--kernel` / `TEMPEST_KERNEL`-style name. Accepts the
-    /// backend names (`scalar`, `portable`, `avx2`), the `pencil` alias,
-    /// and `auto`; rejects anything else.
+    /// backend names (`scalar`, `portable`, `avx2`) and `auto`; rejects
+    /// anything else.
     pub fn parse(name: &str) -> Option<KernelPath> {
         let s = name.trim();
         if s.eq_ignore_ascii_case("auto") {
@@ -157,33 +153,13 @@ pub enum Schedule {
         /// Intra-slab block extent along y (Table I `block_y`).
         block_y: usize,
     },
-    /// Wave-front temporal blocking with diagonal-parallel tile execution:
-    /// same parameters and identical (bitwise) results as [`Wavefront`],
-    /// but tiles on one anti-diagonal of a time tile run concurrently as
-    /// whole space-time tiles, with one barrier per diagonal instead of one
-    /// per slab. Coarser parallel grain, ~`tile_t×` fewer synchronisation
-    /// points; legality for `skew ≥ radius` is certified by
-    /// `tempest_tiling::legality::check_diagonal_independence`.
-    WavefrontDiagonal {
-        /// Spatial tile extent along x (Table I `tile_x`).
-        tile_x: usize,
-        /// Spatial tile extent along y (Table I `tile_y`).
-        tile_y: usize,
-        /// Temporal tile height in timesteps.
-        tile_t: usize,
-        /// Intra-slab block extent along x (Table I `block_x`).
-        block_x: usize,
-        /// Intra-slab block extent along y (Table I `block_y`).
-        block_y: usize,
-    },
     /// Wave-front temporal blocking with dependency-driven (dataflow) tile
     /// execution: same parameters and identical (bitwise) results as
-    /// [`Wavefront`]/[`WavefrontDiagonal`], but each space-time tile carries
-    /// an atomic counter of its true predecessors and workers steal
-    /// freshly-ready tiles from per-worker deques — no barriers at all
-    /// inside a sweep, just one join at its end. Soundness of the
-    /// predecessor sets is certified by
-    /// `tempest_tiling::legality::check_dataflow_dependencies`.
+    /// [`Schedule::Wavefront`], but each space-time tile carries an atomic
+    /// counter of its true predecessors and workers steal freshly-ready
+    /// tiles from per-worker deques — no barriers at all inside a sweep,
+    /// just one join at its end. Soundness of the tile plan is certified by
+    /// `tempest_tiling::legality::check_plan`.
     WavefrontDataflow {
         /// Spatial tile extent along x (Table I `tile_x`).
         tile_x: usize,
@@ -204,7 +180,7 @@ pub enum Schedule {
     /// identical to the wavefront family. Legality requires
     /// `width ≥ 2·radius·tile_t·phases` (diamond slope at least the stencil
     /// radius per virtual step), certified by
-    /// `tempest_tiling::legality::check_diamond_dependencies`.
+    /// `tempest_tiling::legality::check_plan`.
     Diamond {
         /// Diamond base width along the diamond axis (must be a multiple of
         /// `2·tile_t·phases`).
@@ -232,7 +208,6 @@ impl Schedule {
         match *self {
             Schedule::SpaceBlocked { .. } => 1,
             Schedule::Wavefront { tile_t, .. }
-            | Schedule::WavefrontDiagonal { tile_t, .. }
             | Schedule::WavefrontDataflow { tile_t, .. }
             | Schedule::Diamond { tile_t, .. } => tile_t.max(1),
         }
@@ -274,23 +249,6 @@ impl Execution {
     pub fn wavefront_default() -> Self {
         Execution {
             schedule: Schedule::Wavefront {
-                tile_x: 64,
-                tile_y: 64,
-                tile_t: 8,
-                block_x: 8,
-                block_y: 8,
-            },
-            sparse: SparseMode::FusedCompressed,
-            policy: Policy::default(),
-            kernel: KernelPath::default(),
-        }
-    }
-
-    /// Like [`wavefront_default`](Self::wavefront_default) but with the
-    /// diagonal-parallel tile executor.
-    pub fn wavefront_diagonal_default() -> Self {
-        Execution {
-            schedule: Schedule::WavefrontDiagonal {
                 tile_x: 64,
                 tile_y: 64,
                 tile_t: 8,
@@ -352,13 +310,6 @@ impl Execution {
         self
     }
 
-    /// Select the portable autovectorized pencil kernels (compatibility
-    /// name; `Pencil` is an alias for [`KernelPath::Portable`]).
-    pub fn pencil_kernels(mut self) -> Self {
-        self.kernel = KernelPath::Pencil;
-        self
-    }
-
     /// Select an explicit kernel backend (or `Auto` for runtime dispatch).
     pub fn with_kernel(mut self, kernel: KernelPath) -> Self {
         self.kernel = kernel;
@@ -367,17 +318,10 @@ impl Execution {
 
     /// Convert to the tiling crate's spec given a per-virtual-step skew and
     /// phase count. Panics if the schedule is not one of the wavefront
-    /// variants (all of which share the same tile geometry).
+    /// variants (both of which share the same tile geometry).
     pub fn wavefront_spec(&self, skew: usize, phases: usize) -> WavefrontSpec {
         match self.schedule {
             Schedule::Wavefront {
-                tile_x,
-                tile_y,
-                tile_t,
-                block_x,
-                block_y,
-            }
-            | Schedule::WavefrontDiagonal {
                 tile_x,
                 tile_y,
                 tile_t,
@@ -454,13 +398,6 @@ impl Execution {
                 block_x,
                 block_y,
             } => format!("wavefront {tile_x}x{tile_y} t{tile_t} / {block_x}x{block_y}"),
-            Schedule::WavefrontDiagonal {
-                tile_x,
-                tile_y,
-                tile_t,
-                block_x,
-                block_y,
-            } => format!("wavefront-diag {tile_x}x{tile_y} t{tile_t} / {block_x}x{block_y}"),
             Schedule::WavefrontDataflow {
                 tile_x,
                 tile_y,
@@ -483,18 +420,86 @@ impl Execution {
     }
 
     /// Whether this execution's schedule can run on the incremental tile
-    /// plan ([`Acoustic::run_incremental`](crate::Acoustic::run_incremental)):
-    /// the schedule must map exactly onto a tile dependency graph — the
-    /// dataflow wavefront and diamond graphs, or the space-blocked schedule's
-    /// `tile_t = 1` wavefront degeneration. The barrier-synchronised
-    /// wavefront executors have no per-tile node identity to cache against.
+    /// plan ([`Acoustic::run_incremental`](crate::Acoustic::run_incremental)),
+    /// i.e. whether [`plan`](Self::plan) returns one. The slab-ordered
+    /// wavefront executor has no per-tile node identity to cache against.
     pub fn supports_incremental(&self) -> bool {
-        matches!(
-            self.schedule,
-            Schedule::SpaceBlocked { .. }
-                | Schedule::WavefrontDataflow { .. }
-                | Schedule::Diamond { .. }
-        )
+        !matches!(self.schedule, Schedule::Wavefront { .. })
+    }
+
+    /// The tile plan of one sweep of `nvt` virtual steps under this
+    /// schedule, for a stencil of dependency `radius` with `phases` virtual
+    /// steps per timestep: the wavefront dataflow or diamond graph, or the
+    /// space-blocked schedule mapped onto its `tile_t = 1` wavefront
+    /// degeneration. `None` for the slab-ordered wavefront, which runs
+    /// between barriers rather than as a plan.
+    pub fn plan(&self, shape: Shape, nvt: usize, radius: usize, phases: usize) -> Option<TilePlan> {
+        match self.schedule {
+            Schedule::SpaceBlocked { block_x, block_y } => {
+                Some(TilePlan::spaceblocked(shape, nvt, block_x, block_y, radius))
+            }
+            Schedule::Wavefront { .. } => None,
+            Schedule::WavefrontDataflow { .. } => Some(TilePlan::wavefront(
+                shape,
+                nvt,
+                &self.wavefront_spec(radius, phases),
+                radius,
+            )),
+            Schedule::Diamond { .. } => Some(TilePlan::diamond(
+                shape,
+                nvt,
+                &self.diamond_spec(radius, phases),
+                radius,
+            )),
+        }
+    }
+
+    /// Run one sweep of `nvt` virtual steps under this schedule — the one
+    /// schedule dispatch every propagator's `run` goes through.
+    ///
+    /// `step(vt, region)` computes virtual step `vt` over `region`;
+    /// `after_step(vt)` runs on the calling thread after every virtual step
+    /// of the space-blocked schedule (where the classic sparse operators
+    /// live) and never under the temporally blocked ones, which
+    /// [`validate`](Self::validate) restricts to fused sparse operators.
+    /// Spatial blocking and the slab-ordered wavefront run between barriers;
+    /// the dataflow and diamond schedules build their [`plan`](Self::plan)
+    /// and run it with `tempest_tiling::execute_plan`.
+    pub fn drive<S, A>(
+        &self,
+        shape: Shape,
+        nvt: usize,
+        radius: usize,
+        phases: usize,
+        step: S,
+        after_step: A,
+    ) where
+        S: Fn(usize, &Range3) + Sync + Send,
+        A: FnMut(usize),
+    {
+        match self.schedule {
+            Schedule::SpaceBlocked { .. } => spaceblock::execute(
+                shape,
+                nvt,
+                self.spaceblock_spec(),
+                self.policy,
+                step,
+                after_step,
+            ),
+            Schedule::Wavefront { .. } => wavefront::execute(
+                shape,
+                nvt,
+                &self.wavefront_spec(radius, phases),
+                self.policy,
+                step,
+            ),
+            Schedule::WavefrontDataflow { .. } | Schedule::Diamond { .. } => {
+                let plan = self
+                    .plan(shape, nvt, radius, phases)
+                    .expect("tile-plan schedule");
+                execute_plan(&plan, self.policy, &[], step, |_| {}, |_| {});
+            }
+        }
     }
 
     /// Check schedule/sparse compatibility; panics on the Fig. 4b hazard.
@@ -502,7 +507,6 @@ impl Execution {
         if matches!(
             self.schedule,
             Schedule::Wavefront { .. }
-                | Schedule::WavefrontDiagonal { .. }
                 | Schedule::WavefrontDataflow { .. }
                 | Schedule::Diamond { .. }
         ) && self.sparse == SparseMode::Classic
@@ -645,24 +649,6 @@ mod tests {
     }
 
     #[test]
-    fn wavefront_diagonal_shares_tile_geometry() {
-        let e = Execution::wavefront_diagonal_default();
-        e.validate();
-        assert_eq!(e.sparse, SparseMode::FusedCompressed);
-        let spec = e.wavefront_spec(2, 1);
-        assert_eq!(spec, Execution::wavefront_default().wavefront_spec(2, 1));
-        assert_eq!(e.wavefront_spec(4, 2).tile_t, 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "Fig. 4b")]
-    fn classic_under_wavefront_diagonal_is_rejected() {
-        let mut e = Execution::wavefront_diagonal_default();
-        e.sparse = SparseMode::Classic;
-        e.validate();
-    }
-
-    #[test]
     fn wavefront_dataflow_shares_tile_geometry() {
         let e = Execution::wavefront_dataflow_default();
         e.validate();
@@ -747,6 +733,24 @@ mod tests {
     #[should_panic(expected = "not a diamond")]
     fn diamond_spec_conversion_checks_kind() {
         let _ = Execution::wavefront_default().diamond_spec(2, 1);
+    }
+
+    #[test]
+    fn every_schedule_but_slab_ordered_has_a_plan() {
+        let shape = Shape::cube(16);
+        let slab = Execution::wavefront_default();
+        assert!(slab.plan(shape, 4, 2, 1).is_none());
+        assert!(!slab.supports_incremental());
+        for e in [
+            Execution::baseline(),
+            Execution::wavefront_dataflow_default(),
+            Execution::diamond_default(),
+        ] {
+            let plan = e.plan(shape, 4, 2, 1).expect("every schedule but Wavefront has a plan");
+            assert!(!plan.is_empty());
+            assert_eq!(plan.nvt, 4);
+            assert!(e.supports_incremental());
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use std::time::Instant;
 
 use crate::config::SimConfig;
-use crate::operator::{Execution, KernelPath, RunStats, Schedule, SparseMode, WaveSolver};
+use crate::operator::{Execution, KernelPath, RunStats, SparseMode, WaveSolver};
 use crate::shared::LevelRing;
 use crate::sources::{ReceiverBundle, SourceBundle};
 use crate::trace::TraceBuffer;
@@ -36,7 +36,6 @@ use tempest_stencil::kernels::{
 use tempest_stencil::metrics::tti_cost;
 use tempest_stencil::simd::LANE;
 use tempest_stencil::Backend;
-use tempest_tiling::{diamond, spaceblock, wavefront};
 
 /// The TTI pseudo-acoustic propagator.
 pub struct Tti {
@@ -495,48 +494,19 @@ impl WaveSolver for Tti {
         let nt = self.cfg.nt;
         let started = Instant::now();
         let this: &Tti = self;
-        match exec.schedule {
-            Schedule::SpaceBlocked { .. } => {
-                let spec = exec.spaceblock_spec();
-                let classic = exec.sparse == SparseMode::Classic;
-                spaceblock::execute(
-                    shape,
-                    nt,
-                    spec,
-                    exec.policy,
-                    |k, region| this.step_region(k, region, exec.sparse, exec.kernel),
-                    |k| {
-                        if classic {
-                            this.classic_after_step(k);
-                        }
-                    },
-                );
-            }
-            Schedule::Wavefront { .. } => {
-                let spec = exec.wavefront_spec(self.radius, 1);
-                wavefront::execute(shape, nt, &spec, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::WavefrontDiagonal { .. } => {
-                let spec = exec.wavefront_spec(self.radius, 1);
-                wavefront::execute_diagonal(shape, nt, &spec, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::WavefrontDataflow { .. } => {
-                let spec = exec.wavefront_spec(self.radius, 1);
-                wavefront::execute_dataflow(shape, nt, &spec, self.radius, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-            Schedule::Diamond { .. } => {
-                let spec = exec.diamond_spec(self.radius, 1);
-                diamond::execute_diamond(shape, nt, &spec, self.radius, exec.policy, |vt, region| {
-                    this.step_region(vt, region, exec.sparse, exec.kernel)
-                });
-            }
-        }
+        let classic = exec.sparse == SparseMode::Classic;
+        exec.drive(
+            shape,
+            nt,
+            self.radius,
+            1,
+            |vt, region| this.step_region(vt, region, exec.sparse, exec.kernel),
+            |k| {
+                if classic {
+                    this.classic_after_step(k);
+                }
+            },
+        );
         RunStats::new(started.elapsed(), nt, shape)
     }
 
@@ -557,6 +527,7 @@ impl WaveSolver for Tti {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::operator::Schedule;
     use crate::config::EquationKind;
     use tempest_grid::Domain;
 
@@ -628,40 +599,12 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_matches_baseline_bitwise() {
-        for so in [4usize, 8] {
-            let mut t = setup(0.35, so, 12);
-            t.run(&Execution::baseline().sequential());
-            let base = t.final_field();
-            let mut exec = Execution::wavefront_diagonal_default().sequential();
-            exec.schedule = Schedule::WavefrontDiagonal {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 3,
-                block_x: 4,
-                block_y: 4,
-            };
-            t.run(&exec);
-            let dg = t.final_field();
-            assert!(
-                base.bit_equal(&dg),
-                "so={so}: TTI diagonal WTB must be bitwise identical, max diff {}",
-                base.max_abs_diff(&dg)
-            );
-            exec.policy = tempest_par::Policy::Parallel;
-            t.run(&exec);
-            let par = t.final_field();
-            assert!(base.bit_equal(&par), "so={so}: parallel diagonal differs");
-        }
-    }
-
-    #[test]
-    fn dataflow_matches_diagonal_bitwise_across_policies() {
+    fn dataflow_matches_slab_ordered_bitwise_across_policies() {
         use tempest_par::Policy;
         for so in [4usize, 8] {
             let mut t = setup(0.35, so, 12);
-            let mut dg = Execution::wavefront_diagonal_default().sequential();
-            dg.schedule = Schedule::WavefrontDiagonal {
+            let mut dg = Execution::wavefront_default().sequential();
+            dg.schedule = Schedule::Wavefront {
                 tile_x: 8,
                 tile_y: 8,
                 tile_t: 3,
@@ -690,7 +633,7 @@ mod tests {
                 let got = t.final_field();
                 assert!(
                     want.bit_equal(&got),
-                    "so={so} policy={pol:?}: TTI dataflow must match diagonal, max diff {}",
+                    "so={so} policy={pol:?}: TTI dataflow must match slab-ordered, max diff {}",
                     want.max_abs_diff(&got)
                 );
             }

@@ -44,8 +44,9 @@ pub mod trace;
 /// * `ParTasks` — batch items executed by `tempest_par::run_batch`, counted
 ///   on the thread that ran them (the caller participates).
 /// * `ParPublications` — jobs published to the board for workers to claim.
-/// * `WavefrontSlabs` / `WavefrontTiles` / `WavefrontDiagonals` — wavefront
-///   executor scheduling units.
+/// * `WavefrontSlabs` / `WavefrontTiles` — scheduling units of the
+///   slab-ordered wavefront executor and of the tile-plan executor (one per
+///   computed tile node, whichever schedule built the plan).
 /// * `DataflowReady` — tiles pushed onto a ready deque by the dataflow
 ///   executor (initial roots plus every dependency-counter zero
 ///   transition); equals the number of executed tiles, so it is
@@ -91,7 +92,6 @@ pub enum Counter {
     ParPublications,
     WavefrontSlabs,
     WavefrontTiles,
-    WavefrontDiagonals,
     DataflowReady,
     DataflowSteals,
     SpaceSweeps,
@@ -108,7 +108,7 @@ pub enum Counter {
 }
 
 impl Counter {
-    pub const COUNT: usize = 21;
+    pub const COUNT: usize = 20;
     pub const ALL: [Counter; Self::COUNT] = [
         Counter::StencilUpdates,
         Counter::SourceInjections,
@@ -117,7 +117,6 @@ impl Counter {
         Counter::ParPublications,
         Counter::WavefrontSlabs,
         Counter::WavefrontTiles,
-        Counter::WavefrontDiagonals,
         Counter::DataflowReady,
         Counter::DataflowSteals,
         Counter::SpaceSweeps,
@@ -142,7 +141,6 @@ impl Counter {
             Counter::ParPublications => "par_publications",
             Counter::WavefrontSlabs => "wavefront_slabs",
             Counter::WavefrontTiles => "wavefront_tiles",
-            Counter::WavefrontDiagonals => "wavefront_diagonals",
             Counter::DataflowReady => "dataflow_ready",
             Counter::DataflowSteals => "dataflow_steals",
             Counter::SpaceSweeps => "space_sweeps",
@@ -165,10 +163,9 @@ impl Counter {
 /// dense-only share is `Stencil − Sparse`). `BarrierWait` is the time a
 /// `run_batch` caller spends waiting for workers after exhausting the batch,
 /// plus the time any `run_dataflow` participant spends idle with no ready
-/// tile to claim. `Slab`/`Diagonal`/`Sweep` are executor scheduling units;
-/// `Dataflow` is the caller-side span of one whole dependency-driven sweep
-/// (the analogue of the sum of a run's `Diagonal` phases), and `Diamond` the
-/// same for one diamond-schedule sweep.
+/// tile to claim. `Slab`/`Sweep` are executor scheduling units; `Dataflow`
+/// is the caller-side span of one whole tile-plan sweep (wavefront dataflow,
+/// diamond, or a space-blocked incremental run).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 #[repr(usize)]
 pub enum Phase {
@@ -176,22 +173,18 @@ pub enum Phase {
     Sparse,
     BarrierWait,
     Slab,
-    Diagonal,
     Dataflow,
-    Diamond,
     Sweep,
 }
 
 impl Phase {
-    pub const COUNT: usize = 8;
+    pub const COUNT: usize = 6;
     pub const ALL: [Phase; Self::COUNT] = [
         Phase::Stencil,
         Phase::Sparse,
         Phase::BarrierWait,
         Phase::Slab,
-        Phase::Diagonal,
         Phase::Dataflow,
-        Phase::Diamond,
         Phase::Sweep,
     ];
 
@@ -201,9 +194,7 @@ impl Phase {
             Phase::Sparse => "sparse",
             Phase::BarrierWait => "barrier_wait",
             Phase::Slab => "slab",
-            Phase::Diagonal => "diagonal",
             Phase::Dataflow => "dataflow",
-            Phase::Diamond => "diamond",
             Phase::Sweep => "sweep",
         }
     }
@@ -638,8 +629,8 @@ impl Profile {
 /// Turn a free-form label (solver name, schedule description) into a
 /// filename-safe stem: ASCII alphanumerics and `-` pass through, every run
 /// of anything else collapses to a single `_`, with no leading/trailing
-/// separator. `"wavefront-diag 32x32 t4 / 8x8"` becomes
-/// `"wavefront-diag_32x32_t4_8x8"` — one canonical separator, so writers
+/// separator. `"wavefront-dflow 32x32 t4 / 8x8"` becomes
+/// `"wavefront-dflow_32x32_t4_8x8"` — one canonical separator, so writers
 /// joining name and schedule with `__` produce unambiguous stems.
 pub fn sanitize_label(raw: &str) -> String {
     let mut out = String::with_capacity(raw.len());
@@ -787,8 +778,8 @@ mod tests {
     #[test]
     fn sanitize_collapses_separator_runs() {
         assert_eq!(
-            sanitize_label("wavefront-diag 32x32 t4 / 8x8"),
-            "wavefront-diag_32x32_t4_8x8"
+            sanitize_label("wavefront-dflow 32x32 t4 / 8x8"),
+            "wavefront-dflow_32x32_t4_8x8"
         );
         assert_eq!(sanitize_label("spaceblocked 8x8"), "spaceblocked_8x8");
         assert_eq!(sanitize_label("  lead/trail  "), "lead_trail");

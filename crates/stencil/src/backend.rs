@@ -33,8 +33,7 @@
 //! 1. an explicit `--kernel` flag (an `Execution` carrying a concrete
 //!    `KernelPath`, resolved by `tempest-core`),
 //! 2. the [`TEMPEST_KERNEL`](KERNEL_ENV) environment variable
-//!    (`scalar` | `portable` | `avx2`; `pencil` is an alias for `portable`,
-//!    `auto` for detection),
+//!    (`scalar` | `portable` | `avx2`, or `auto` for detection),
 //! 3. the detected best ([`detect_best`]).
 //!
 //! A forced backend that the host cannot run (e.g. `TEMPEST_KERNEL=avx2` on
@@ -678,13 +677,12 @@ impl Backend {
         }
     }
 
-    /// Parse a backend name (case-insensitive). `pencil` is accepted as a
-    /// compatibility alias for `portable`; `auto` is *not* a backend — the
-    /// dispatcher handles it.
+    /// Parse a backend name (case-insensitive). `auto` is *not* a backend —
+    /// the dispatcher handles it.
     pub fn parse(name: &str) -> Option<Backend> {
         match name.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Backend::Scalar),
-            "portable" | "pencil" => Some(Backend::Portable),
+            "portable" => Some(Backend::Portable),
             "avx2" => Some(Backend::Avx2),
             _ => None,
         }
@@ -924,11 +922,11 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_aliases_and_rejects_unknown() {
-        assert_eq!(Backend::parse("pencil"), Some(Backend::Portable));
+    fn parse_is_case_insensitive_and_rejects_unknown() {
         assert_eq!(Backend::parse("  AVX2 "), Some(Backend::Avx2));
         assert_eq!(Backend::parse("auto"), None);
         assert_eq!(Backend::parse("neon"), None);
+        assert_eq!(Backend::parse("pencil"), None);
         assert_eq!(Backend::parse(""), None);
     }
 
@@ -948,7 +946,6 @@ mod tests {
         // Always-available backends are honoured verbatim.
         assert_eq!(choose(Some("scalar")), Backend::Scalar);
         assert_eq!(choose(Some("portable")), Backend::Portable);
-        assert_eq!(choose(Some("pencil")), Backend::Portable);
         // Unknown names never panic, never pick an unrunnable backend.
         assert_eq!(choose(Some("gpu9000")), detect_best());
         // A forced avx2 is honoured exactly when the host supports it.

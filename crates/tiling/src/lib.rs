@@ -24,57 +24,49 @@
 //! second reading same-timestep values of the first — Fig. 8b) map each
 //! phase to its own virtual step, which automatically widens the skew.
 //!
-//! The wave-front schedule has three executors: slab-ordered
-//! ([`wavefront::execute`]) parallelises the blocks of one slab between
-//! barriers; diagonal-parallel ([`wavefront::execute_diagonal`]) runs
-//! whole same-anti-diagonal space-time tiles concurrently with one barrier
-//! per diagonal — a coarser grain with ~`tile_t×` fewer synchronisation
-//! points; and dataflow ([`wavefront::execute_dataflow`]) drops the
-//! per-diagonal barriers too, running the exact tile dependency graph
-//! ([`wavefront::tile_graph`]) under dependency counters and per-worker
-//! stealing deques with a single join per sweep. All three produce
+//! Every dependency-driven sweep is first built as a [`TilePlan`]
+//! ([`plan`]): per-node slabs plus the exact tile dependency edges. One
+//! executor, [`execute_plan`], runs any plan on dependency counters and
+//! per-worker stealing deques with a single join per sweep, and one checker,
+//! [`legality::check_plan`], certifies any plan. Three schedules produce
+//! plans: the wave-front dataflow schedule ([`wavefront::tile_graph`],
+//! [`wavefront::execute_dataflow`]); the diamond schedule ([`diamond`], MWD,
+//! Malas et al. arXiv:1410.3060), which tiles time × one chosen space axis
+//! into diamonds and runs a skewed wave-front along the other axis; and the
+//! space-blocked schedule mapped onto its `tile_t = 1` wave-front
+//! degeneration ([`TilePlan::spaceblocked`]). Two barrier schedules remain
+//! outside the plan: spatial blocking ([`spaceblock::execute`]) and the
+//! slab-ordered wave-front ([`wavefront::execute`]), which parallelises the
+//! blocks of one slab between barriers. All of them produce
 //! bitwise-identical wavefields.
 //!
-//! A fourth temporally blocked schedule, [`diamond`] (MWD, Malas et al.
-//! arXiv:1410.3060), tiles time × one chosen space axis into diamonds and
-//! runs a skewed wave-front along the other axis, reusing the dataflow
-//! executor's dependency-counted substrate via its own graph builder
-//! ([`diamond::diamond_tile_graph`]). It too is bitwise identical to the
-//! schedules above.
-//!
-//! [`incremental`] layers differential recomputation over the dataflow
-//! substrate: a schedule-agnostic [`TilePlan`] snapshot of any tile graph, a
+//! [`incremental`] layers differential recomputation over the plan: a
 //! dirty-cone pass ([`dirty_cone`]) that marks the causal cone of a
-//! [`RunDelta`] between two runs, and a bounded LRU [`TileCache`] of
-//! per-tile outputs so [`incremental::execute_incremental`] restores clean
-//! tiles bit-for-bit and recomputes only the cone.
+//! [`RunDelta`] between two runs, and a bounded [`TileCache`] of per-tile
+//! outputs, so [`execute_plan`] with a restore mask restores clean tiles
+//! bit-for-bit and recomputes only the cone.
 //!
-//! [`legality`] provides a dependency checker that validates any schedule
-//! against the stencil's radius and the circular time-buffer depth
-//! (including the tile-disjointness proof obligation of the diagonal
-//! executor, [`legality::check_diagonal_independence`], and the
-//! predecessor-set soundness proofs of the dataflow and diamond executors,
-//! [`legality::check_dataflow_dependencies`] and
-//! [`legality::check_diamond_dependencies`]), and
+//! [`legality`] replays any slab sequence against the stencil's radius and
+//! the circular time-buffer depth ([`legality::check_schedule`]), and
 //! [`autotune()`](autotune()) sweeps tile/block shapes (§IV.C, Table I).
 
 pub mod autotune;
 pub mod diamond;
 pub mod incremental;
 pub mod legality;
+pub mod plan;
 pub mod spaceblock;
 pub mod wavefront;
 
 pub use autotune::{
     autotune, autotune_measured, spaceblock_candidates, with_dataflow_variants,
-    with_diagonal_variants, with_diamond_variants, Candidate, MeasuredResult, Measurement,
-    TuneResult,
+    with_diamond_variants, Candidate, MeasuredResult, Measurement, TuneResult,
 };
 pub use diamond::{DiamondAxis, DiamondSpec, DiamondTile};
 pub use incremental::{
-    cache_mb_from, dirty_cone, dirty_cone_oracle, execute_incremental, CacheStats, DirtyRect,
-    IncrementalOutcome, RunDelta, SlabPayload, SourceSig, TileCache, TilePayload, TilePlan,
-    DEFAULT_CACHE_MB,
+    cache_mb_from, dirty_cone, dirty_cone_oracle, CacheStats, DirtyRect, RunDelta, SlabPayload,
+    SourceSig, TileCache, TilePayload, DEFAULT_CACHE_MB,
 };
+pub use plan::{execute_plan, TilePlan};
 pub use spaceblock::SpaceBlockSpec;
 pub use wavefront::{Slab, Tile, WavefrontSpec};

@@ -9,15 +9,15 @@
 //!
 //! With profiling compiled in and switched on, the sweep also records each
 //! candidate's barrier-wait share and uses it to break near-ties between
-//! slab-ordered and diagonal-parallel shapes:
+//! slab-ordered and dataflow shapes:
 //!
 //! ```text
 //! TEMPEST_PROFILE=1 cargo run --release --example autotune_demo --features obs
 //! ```
 //!
 //! Add `--trace` (or `TEMPEST_TRACE=1`) to trace the final tuned run: the
-//! per-diagonal load-imbalance summary prints next to the comparison and
-//! the Chrome trace JSON lands under `results/trace/`.
+//! per-diagonal tile load-imbalance summary prints next to the comparison
+//! and the Chrome trace JSON lands under `results/trace/`.
 
 use tempest::core::operator::{KernelPath, Schedule, SparseMode};
 use tempest::core::config::EquationKind;
@@ -26,13 +26,12 @@ use tempest::grid::{Domain, Model, Shape};
 use tempest::par::Policy;
 use tempest::sparse::SparsePoints;
 use tempest::tiling::{
-    autotune_measured, autotune::default_candidates, with_diagonal_variants, with_diamond_variants,
+    autotune_measured, autotune::default_candidates, with_dataflow_variants, with_diamond_variants,
     Candidate, Measurement,
 };
 
-/// Schedule for a candidate: slab-ordered, diagonal-parallel,
-/// dependency-driven dataflow, or diamond, per its
-/// `diagonal`/`dataflow`/`diamond` flags. Diamond candidates reuse `tile_x`
+/// Schedule for a candidate: slab-ordered, dependency-driven dataflow, or
+/// diamond, per its `dataflow`/`diamond` flags. Diamond candidates reuse `tile_x`
 /// as the diamond base width and `tile_y` as the cross-axis window.
 fn schedule_of(c: &Candidate) -> Schedule {
     if let Some(axis) = c.diamond {
@@ -46,14 +45,6 @@ fn schedule_of(c: &Candidate) -> Schedule {
         }
     } else if c.dataflow {
         Schedule::WavefrontDataflow {
-            tile_x: c.tile_x,
-            tile_y: c.tile_y,
-            tile_t: c.tile_t,
-            block_x: c.block_x,
-            block_y: c.block_y,
-        }
-    } else if c.diagonal {
-        Schedule::WavefrontDiagonal {
             tile_x: c.tile_x,
             tile_y: c.tile_y,
             tile_t: c.tile_t,
@@ -83,15 +74,14 @@ fn main() {
     let src = SparsePoints::single_center(&domain, 0.37);
     let mut solver = Acoustic::new(&model, cfg, src, None);
 
-    // Each tile geometry is tried under all three wave-front executors —
-    // slab-ordered, diagonal-parallel ("/ diag") and dependency-driven
-    // dataflow ("/ dflow") — plus the diamond schedule ("/ dmnd-x",
-    // "/ dmnd-y") for every geometry whose tile width is a legal diamond
-    // base width at this stencil radius. Same bases, no duplicates.
+    // Each tile geometry is tried under both wave-front executors —
+    // slab-ordered and dependency-driven dataflow ("/ dflow") — plus the
+    // diamond schedule ("/ dmnd-x", "/ dmnd-y") for every geometry whose
+    // tile width is a legal diamond base width at this stencil radius. Same
+    // bases, no duplicates.
     let radius = 4; // space order 8
     let base = default_candidates(n, n, &[4, 8, 16]);
-    let mut cands = with_diagonal_variants(&base);
-    cands.extend(base.iter().map(|c| c.with_dataflow()));
+    let mut cands = with_dataflow_variants(&base);
     cands.extend(
         with_diamond_variants(&base, radius, 1)
             .into_iter()
@@ -104,7 +94,7 @@ fn main() {
 
     // Candidates within 5% of the fastest are ranked by measured
     // barrier-wait share (when telemetry is recorded) — wall time alone
-    // cannot separate slab-ordered from diagonal-parallel shapes on short
+    // cannot separate slab-ordered from dataflow shapes on short
     // tuning runs.
     let result = autotune_measured(
         &cands,
@@ -169,8 +159,9 @@ fn main() {
         wtb.gpoints_per_s / base.gpoints_per_s
     );
 
-    // With tracing on, show how well the tuned schedule balances its
-    // diagonals — the signal behind the barrier-share tie-breaker above.
+    // With tracing on, show how well the tuned schedule balances the tiles
+    // of each anti-diagonal — the signal behind the barrier-share
+    // tie-breaker above.
     if !trace.is_empty() {
         println!("\n{}", tempest::obs::analysis::TraceAnalysis::from_trace(&trace).render());
         match trace.write_chrome_json(&meta) {
@@ -180,7 +171,7 @@ fn main() {
     }
 
     // Same tile geometry, barrier discipline compared head-to-head: one
-    // barrier per anti-diagonal (diagonal executor) vs one join per sweep
+    // barrier per slab (slab-ordered executor) vs one join per sweep
     // (dataflow executor). With profiling on, the barrier-wait share is the
     // synchronisation cost each discipline actually paid.
     let geometry = result.best;
@@ -195,14 +186,19 @@ fn main() {
         let share = (!profile.is_empty()).then(|| profile.barrier_wait_share());
         (stats, share)
     };
-    let (dg_stats, dg_share) = run_share(&mut solver, &geometry.with_diagonal());
+    let slab = Candidate {
+        dataflow: false,
+        diamond: None,
+        ..geometry
+    };
+    let (sl_stats, sl_share) = run_share(&mut solver, &slab);
     let (df_stats, df_share) = run_share(&mut solver, &geometry.with_dataflow());
     let pct = |s: Option<f64>| s.map(|v| format!("{:>5.1}%", v * 100.0)).unwrap_or("    —".into());
     println!("\nbarrier discipline at the tuned geometry ({geometry}):");
     println!(
-        "  diagonal (barrier per anti-diagonal)  {:>8.3?}  barrier-wait {}",
-        dg_stats.elapsed,
-        pct(dg_share)
+        "  slab     (barrier per slab)           {:>8.3?}  barrier-wait {}",
+        sl_stats.elapsed,
+        pct(sl_share)
     );
     println!(
         "  dataflow (single join per sweep)      {:>8.3?}  barrier-wait {}",

@@ -17,7 +17,7 @@
 //! ```
 //!
 //! Add `--trace` (or `TEMPEST_TRACE=1`) to also capture event-level traces:
-//! each schedule prints the per-diagonal load-imbalance summary and writes
+//! each schedule prints the per-diagonal tile load-imbalance summary and writes
 //! Chrome trace JSON under `results/trace/` (open in Perfetto).
 
 use tempest::core::config::EquationKind;
@@ -62,13 +62,6 @@ fn main() {
         wtb.gpoints_per_s,
         wtb.gpoints_per_s / base.gpoints_per_s
     );
-    let (diag, diag_profile, diag_trace, diag_meta) =
-        solver.run_traced(&Execution::wavefront_diagonal_default());
-    println!(
-        "wavefront-diag: {:>7.3} GPts/s  speedup {:.2}x",
-        diag.gpoints_per_s,
-        diag.gpoints_per_s / base.gpoints_per_s
-    );
     let (dflow, dflow_profile, dflow_trace, dflow_meta) =
         solver.run_traced(&Execution::wavefront_dataflow_default());
     println!(
@@ -84,14 +77,14 @@ fn main() {
         dmnd.gpoints_per_s / base.gpoints_per_s
     );
 
-    // Head-to-head synchronisation cost: one barrier per anti-diagonal vs a
-    // single join per sweep (dataflow and diamond both run barrier-free on
-    // the dependency-counted substrate), so the barrier-wait share isolates
-    // the scheduling discipline.
-    if !diag_profile.is_empty() && !dflow_profile.is_empty() && !dmnd_profile.is_empty() {
+    // Head-to-head synchronisation cost: one barrier per slab vs a single
+    // join per sweep (dataflow and diamond both run barrier-free on the
+    // tile-plan executor), so the barrier-wait share isolates the
+    // scheduling discipline.
+    if !wtb_profile.is_empty() && !dflow_profile.is_empty() && !dmnd_profile.is_empty() {
         println!(
-            "\nbarrier-wait share: diagonal {:>5.1}%  vs  dataflow {:>5.1}%  vs  diamond {:>5.1}%",
-            100.0 * diag_profile.barrier_wait_share(),
+            "\nbarrier-wait share: slab {:>5.1}%  vs  dataflow {:>5.1}%  vs  diamond {:>5.1}%",
+            100.0 * wtb_profile.barrier_wait_share(),
             100.0 * dflow_profile.barrier_wait_share(),
             100.0 * dmnd_profile.barrier_wait_share()
         );
@@ -100,7 +93,6 @@ fn main() {
     for (profile, trace, meta) in [
         (base_profile, base_trace, base_meta),
         (wtb_profile, wtb_trace, wtb_meta),
-        (diag_profile, diag_trace, diag_meta),
         (dflow_profile, dflow_trace, dflow_meta),
         (dmnd_profile, dmnd_trace, dmnd_meta),
     ] {
@@ -113,7 +105,7 @@ fn main() {
             Err(err) => eprintln!("could not write profile JSON: {err}"),
         }
         if !trace.is_empty() {
-            // Per-diagonal load balance next to the per-phase table, plus
+            // Per-diagonal tile load balance next to the per-phase table, plus
             // the Perfetto-loadable event trace.
             println!("{}", obs::analysis::TraceAnalysis::from_trace(&trace).render());
             match trace.write_chrome_json(&meta) {

@@ -24,10 +24,8 @@ use tempest::grid::{Array2, Domain, Model, Shape};
 use tempest::par::Policy;
 use tempest::sparse::SparsePoints;
 use tempest::survey::{run_survey, JobSpec, JobState, Survey, SurveyOptions, SurveyService};
-use tempest::tiling::incremental::{
-    dirty_cone, dirty_cone_oracle, DirtyRect, TileCache, TilePlan,
-};
-use tempest::tiling::{DiamondSpec, WavefrontSpec};
+use tempest::tiling::incremental::{dirty_cone, dirty_cone_oracle, DirtyRect, TileCache};
+use tempest::tiling::{DiamondSpec, TilePlan, WavefrontSpec};
 
 const N: usize = 32;
 const NT: usize = 6;

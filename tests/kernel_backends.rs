@@ -128,7 +128,6 @@ fn dispatcher_honours_requests_and_falls_back() {
     // Explicit names are honoured whenever the backend can run here.
     assert_eq!(choose(Some("scalar")), Backend::Scalar);
     assert_eq!(choose(Some("portable")), Backend::Portable);
-    assert_eq!(choose(Some("pencil")), Backend::Portable);
     if Backend::Avx2.available() {
         assert_eq!(choose(Some("avx2")), Backend::Avx2);
     } else {
@@ -149,8 +148,6 @@ fn kernel_path_resolution_matches_dispatcher() {
     assert_eq!(KernelPath::Auto.resolve(), choose(None));
     assert_eq!(KernelPath::Scalar.resolve(), Backend::Scalar);
     assert_eq!(KernelPath::Portable.resolve(), Backend::Portable);
-    // The compat alias points at the portable backend.
-    assert_eq!(KernelPath::Pencil, KernelPath::Portable);
     if Backend::Avx2.available() {
         assert_eq!(KernelPath::Avx2.resolve(), Backend::Avx2);
     } else {

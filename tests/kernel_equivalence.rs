@@ -9,7 +9,7 @@
 //! kernel path is selected.
 
 use tempest::core::config::EquationKind;
-use tempest::core::operator::{Schedule, SparseMode};
+use tempest::core::operator::{KernelPath, Schedule, SparseMode};
 use tempest::core::{Acoustic, Elastic, Execution, SimConfig, Tti, WaveSolver};
 use tempest::grid::{Array3, Domain, ElasticModel, Model, Shape, TtiModel};
 use tempest::sparse::SparsePoints;
@@ -33,15 +33,15 @@ fn schedules() -> Vec<(&'static str, Execution)> {
         block_y: 4,
     };
     wf.sparse = SparseMode::FusedCompressed;
-    let mut dg = Execution::wavefront_diagonal_default().sequential();
-    dg.schedule = Schedule::WavefrontDiagonal {
+    let mut df = Execution::wavefront_dataflow_default().sequential();
+    df.schedule = Schedule::WavefrontDataflow {
         tile_x: 8,
         tile_y: 8,
         tile_t: 3,
         block_x: 4,
         block_y: 4,
     };
-    vec![("spaceblocked", sb), ("wavefront", wf), ("diagonal", dg)]
+    vec![("spaceblocked", sb), ("wavefront", wf), ("dataflow", df)]
 }
 
 fn assert_bitwise(label: &str, scalar: &Array3<f32>, pencil: &Array3<f32>) {
@@ -56,7 +56,7 @@ fn assert_bitwise(label: &str, scalar: &Array3<f32>, pencil: &Array3<f32>) {
 /// Run `solver` under `exec` with each kernel path and return both fields.
 fn both_paths(solver: &mut dyn WaveSolver, exec: &Execution) -> (Array3<f32>, Array3<f32>) {
     let scalar_exec = (*exec).scalar_kernels();
-    let pencil_exec = (*exec).pencil_kernels();
+    let pencil_exec = (*exec).with_kernel(KernelPath::Portable);
     solver.run(&scalar_exec);
     let s = solver.final_field();
     solver.run(&pencil_exec);
@@ -122,7 +122,7 @@ fn elastic_scalar_vs_pencil_bitwise_all_orders_all_schedules() {
 
 #[test]
 fn parallel_pencil_matches_sequential_scalar_bitwise() {
-    // The strongest cross-cutting claim: parallel diagonal-wavefront
+    // The strongest cross-cutting claim: parallel dataflow-wavefront
     // execution on the pencil path reproduces the sequential space-blocked
     // scalar baseline bit-for-bit.
     let d = domain();
@@ -137,8 +137,8 @@ fn parallel_pencil_matches_sequential_scalar_bitwise() {
     a.run(&Execution::baseline().sequential().scalar_kernels());
     let base = a.final_field();
 
-    let mut exec = Execution::wavefront_diagonal_default().pencil_kernels();
-    exec.schedule = Schedule::WavefrontDiagonal {
+    let mut exec = Execution::wavefront_dataflow_default().with_kernel(KernelPath::Portable);
+    exec.schedule = Schedule::WavefrontDataflow {
         tile_x: 8,
         tile_y: 8,
         tile_t: 3,
@@ -148,7 +148,7 @@ fn parallel_pencil_matches_sequential_scalar_bitwise() {
     exec.policy = tempest::par::Policy::Parallel;
     a.run(&exec);
     let par = a.final_field();
-    assert_bitwise("acoustic parallel diagonal pencil vs scalar baseline", &base, &par);
+    assert_bitwise("acoustic parallel dataflow pencil vs scalar baseline", &base, &par);
 }
 
 #[test]
@@ -167,7 +167,7 @@ fn traces_identical_across_kernel_paths() {
 
     a.run(&Execution::baseline().sequential().scalar_kernels());
     let ts = a.trace().unwrap();
-    a.run(&Execution::baseline().sequential().pencil_kernels());
+    a.run(&Execution::baseline().sequential().with_kernel(KernelPath::Portable));
     let tp = a.trace().unwrap();
     assert_eq!(ts.dims(), tp.dims());
     for i in 0..ts.len() {

@@ -73,17 +73,6 @@ fn schedules() -> Vec<(&'static str, Schedule, SparseMode)> {
             SparseMode::FusedCompressed,
         ),
         (
-            "wavefront-diag",
-            Schedule::WavefrontDiagonal {
-                tile_x: 8,
-                tile_y: 8,
-                tile_t: 3,
-                block_x: 4,
-                block_y: 4,
-            },
-            SparseMode::FusedCompressed,
-        ),
-        (
             "wavefront-dataflow",
             Schedule::WavefrontDataflow {
                 tile_x: 8,
@@ -179,21 +168,9 @@ fn check_schedule<F: FnMut(&Execution)>(
             Schedule::SpaceBlocked { .. } => {
                 assert!(p.counter(Counter::SpaceSweeps) > 0, "{label}: no sweeps");
                 assert_eq!(p.counter(Counter::WavefrontSlabs), 0, "{label}");
-                assert_eq!(p.counter(Counter::WavefrontDiagonals), 0, "{label}");
             }
             Schedule::Wavefront { .. } => {
                 assert!(p.counter(Counter::WavefrontSlabs) > 0, "{label}: no slabs");
-                assert_eq!(p.counter(Counter::WavefrontDiagonals), 0, "{label}");
-            }
-            Schedule::WavefrontDiagonal { .. } => {
-                assert!(
-                    p.counter(Counter::WavefrontDiagonals) > 0,
-                    "{label}: no diagonals"
-                );
-                assert!(
-                    p.counter(Counter::WavefrontTiles) > 0,
-                    "{label}: no tiles"
-                );
             }
             Schedule::WavefrontDataflow { .. } => {
                 // The dataflow executor runs tiles without slabs phases or
@@ -202,7 +179,6 @@ fn check_schedule<F: FnMut(&Execution)>(
                     p.counter(Counter::WavefrontTiles) > 0,
                     "{label}: no tiles"
                 );
-                assert_eq!(p.counter(Counter::WavefrontDiagonals), 0, "{label}");
                 assert_eq!(p.counter(Counter::WavefrontSlabs), 0, "{label}");
                 assert!(
                     p.counter(Counter::DataflowReady) > 0,
@@ -222,7 +198,6 @@ fn check_schedule<F: FnMut(&Execution)>(
                 );
                 assert_eq!(p.counter(Counter::SpaceSweeps), 0, "{label}");
                 assert_eq!(p.counter(Counter::WavefrontSlabs), 0, "{label}");
-                assert_eq!(p.counter(Counter::WavefrontDiagonals), 0, "{label}");
             }
         }
         let mut counts: Vec<u64> = Counter::ALL.iter().map(|&c| p.counter(c)).collect();

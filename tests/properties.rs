@@ -8,8 +8,9 @@ use tempest::grid::{Domain, Rng64, Shape};
 use tempest::sparse::wavelet::wavelet_matrix_scaled;
 use tempest::sparse::{trilinear, CompressedMask, SourcePrecompute, SparsePoints};
 use tempest::stencil::central_coeffs;
-use tempest::tiling::legality::{check_diagonal_independence, check_schedule, DepModel};
-use tempest::tiling::wavefront::{diagonal_slabs, slabs, WavefrontSpec};
+use tempest::tiling::legality::{check_plan, check_schedule, DepModel};
+use tempest::tiling::wavefront::{slabs, WavefrontSpec};
+use tempest::tiling::{DiamondAxis, DiamondSpec, TilePlan};
 
 const CASES: usize = 64;
 
@@ -172,42 +173,62 @@ fn wavefront_legality() {
     }
 }
 
-/// Diagonal-parallel wave-front schedules: for any spec with skew ≥ radius,
-/// (a) same-diagonal tiles have pairwise-disjoint dependency footprints
-/// (the static independence checker passes), (b) the diagonal-major
-/// serialisation covers every space-time point exactly once and replays
-/// cleanly through the dependency checker.
+/// Tile plans of every kind — wavefront dataflow, diamond, and the
+/// space-blocked schedule's `tile_t = 1` mapping that every survey job runs
+/// on — pass [`check_plan`] for any legal geometry and both buffer depths.
+/// The checker must also see a missing edge: stripping all predecessors of
+/// a node that has some leaves it unordered against a tile whose output it
+/// reads, and that must be reported.
 #[test]
-fn diagonal_wavefront_legality() {
+fn plan_legality() {
     let mut rng = Rng64::new(0xB8);
-    for _ in 0..CASES {
-        let radius = rng.range_usize(0, 4);
-        let skew = radius + rng.range_usize(0, 3);
-        let tile = rng.range_usize(2, 12);
-        let tile_t = rng.range_usize(1, 6);
+    for case in 0..CASES {
         let levels = rng.range_usize(2, 4);
-        let nvt = rng.range_usize(1, 8);
-        let (nx, ny) = (rng.range_usize(6, 24), rng.range_usize(6, 24));
-        let shape = Shape::new(nx, ny, 2);
-        let spec = WavefrontSpec::new(tile, tile, tile_t, skew, 4, 4);
-        let model = DepModel { radius, levels };
-        let ctx = format!("radius {radius} skew {skew} tile {tile} tile_t {tile_t} levels {levels}");
-        assert_eq!(
-            check_diagonal_independence(shape, nvt, model, &spec),
-            Ok(()),
-            "independence: {ctx}"
-        );
-        let sched = diagonal_slabs(shape, nvt, &spec);
-        let mut counts = vec![0u32; nvt * nx * ny];
-        for s in &sched {
-            for x in s.range.x0..s.range.x1 {
-                for y in s.range.y0..s.range.y1 {
-                    counts[(s.vt * nx + x) * ny + y] += 1;
-                }
+        let nvt = rng.range_usize(1, 7);
+        let shape = Shape::new(rng.range_usize(6, 20), rng.range_usize(6, 20), 2);
+        let (radius, plan) = match case % 3 {
+            0 => {
+                let radius = rng.range_usize(0, 4);
+                let skew = radius + rng.range_usize(0, 3);
+                let tile = rng.range_usize(2, 12);
+                let spec = WavefrontSpec::new(tile, tile, rng.range_usize(1, 6), skew, 4, 4);
+                (radius, TilePlan::wavefront(shape, nvt, &spec, radius))
             }
+            1 => {
+                let radius = rng.range_usize(0, 4);
+                let axis = if rng.range_usize(0, 2) == 0 {
+                    DiamondAxis::X
+                } else {
+                    DiamondAxis::Y
+                };
+                let spec = DiamondSpec::new(
+                    rng.range_usize(1, 5),
+                    radius.max(1) + rng.range_usize(0, 3),
+                    rng.range_usize(2, 12),
+                    radius + rng.range_usize(0, 3),
+                    4,
+                    4,
+                    axis,
+                );
+                (radius, TilePlan::diamond(shape, nvt, &spec, radius))
+            }
+            _ => {
+                let radius = rng.range_usize(1, 7);
+                let (bx, by) = (rng.range_usize(2, 9), rng.range_usize(2, 9));
+                (radius, TilePlan::spaceblocked(shape, nvt, bx, by, radius))
+            }
+        };
+        let model = DepModel { radius, levels };
+        let ctx = format!("case {case}: radius {radius} levels {levels} nvt {nvt} {shape:?}");
+        assert_eq!(check_plan(shape, model, &plan), Ok(()), "legal plan: {ctx}");
+        for victim in (0..plan.len()).filter(|&i| !plan.preds[i].is_empty()) {
+            let mut broken = plan.clone();
+            broken.preds[victim].clear();
+            assert!(
+                check_plan(shape, model, &broken).is_err(),
+                "stripping the predecessors of node {victim} must be reported: {ctx}"
+            );
         }
-        assert!(counts.iter().all(|&c| c == 1), "coverage: {ctx}");
-        assert_eq!(check_schedule(shape, nvt, model, sched), Ok(()), "replay: {ctx}");
     }
 }
 

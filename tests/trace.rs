@@ -1,7 +1,7 @@
 //! Integration tests for event-level tile tracing (`tempest-obs::trace`).
 //!
 //! The acceptance case from DESIGN.md §11: a traced acoustic 64³×8 run under
-//! `Schedule::WavefrontDiagonal` must produce one `tile` span per executed
+//! `Schedule::WavefrontDataflow` must produce one `tile` span per executed
 //! space-time tile with correct `(diagonal, tx, ty)` arguments, drop nothing
 //! at the default ring capacity, and export Chrome trace-event JSON that
 //! parses back. The trace gate is independent of the profiling gate, and a
@@ -85,10 +85,10 @@ fn assert_well_nested(trace: &obs::trace::Trace) {
 
 #[cfg(feature = "obs")]
 #[test]
-fn traced_diagonal_run_covers_every_tile_and_roundtrips() {
+fn traced_run_covers_every_tile_and_roundtrips() {
     let _g = guard();
     let mut s = acoustic64();
-    let exec = Execution::wavefront_diagonal_default();
+    let exec = Execution::wavefront_dataflow_default();
     let (stats, profile, trace, meta) = s.run_traced(&exec);
     assert_eq!(stats.nt, NT);
     assert!(!profile.is_empty(), "profiling gate is on");
@@ -119,11 +119,9 @@ fn traced_diagonal_run_covers_every_tile_and_roundtrips() {
     for e in trace.events_of(SpanKind::Tile) {
         assert_eq!(e.args.diagonal, e.args.tx + e.args.ty, "diagonal is xt+yt");
     }
-    // The coordinator records one span per anti-diagonal per time tile, and
-    // the propagator phases show up under the tiles.
-    let ndiag = spec.tiles_x(N) + spec.tiles_y(N) - 1;
-    let time_tiles = NT.div_ceil(spec.tile_t);
-    assert_eq!(trace.count(SpanKind::Diagonal), ndiag * time_tiles);
+    // The coordinator records one span for the whole sweep, and the
+    // propagator phases show up under the tiles.
+    assert_eq!(trace.count(SpanKind::Dataflow), 1);
     assert!(trace.count(SpanKind::Stencil) > 0, "stencil phases traced");
     assert!(trace.count(SpanKind::Sparse) > 0, "sparse phases traced");
     assert_well_nested(&trace);
@@ -134,7 +132,7 @@ fn traced_diagonal_run_covers_every_tile_and_roundtrips() {
     let path = trace.write_chrome_json_in(&dir, &meta).unwrap();
     assert_eq!(
         path.file_name().unwrap().to_str().unwrap(),
-        "acoustic-so4__wavefront-diag_64x64_t8_8x8.trace.json"
+        "acoustic-so4__wavefront-dflow_64x64_t8_8x8.trace.json"
     );
     let body = std::fs::read_to_string(&path).unwrap();
     let _ = std::fs::remove_file(&path);
@@ -208,7 +206,6 @@ fn traced_dataflow_run_covers_every_tile_with_zero_drops() {
     // One whole-sweep dataflow span instead of per-diagonal coordinator
     // spans: the single join per sweep is visible in the trace shape.
     assert_eq!(trace.count(SpanKind::Dataflow), 1);
-    assert_eq!(trace.count(SpanKind::Diagonal), 0, "no diagonal barriers ran");
     assert!(trace.count(SpanKind::Stencil) > 0, "stencil phases traced");
     assert_well_nested(&trace);
     obs::trace::set_enabled(false);
@@ -246,10 +243,8 @@ fn traced_diamond_run_covers_every_tile_with_zero_drops() {
         });
         assert!(found, "no tile span for {t:?}");
     }
-    // One whole-sweep diamond span; no other executor's coordinator spans.
-    assert_eq!(trace.count(SpanKind::Diamond), 1);
-    assert_eq!(trace.count(SpanKind::Dataflow), 0, "no dataflow sweep ran");
-    assert_eq!(trace.count(SpanKind::Diagonal), 0, "no diagonal barriers ran");
+    // One whole-sweep span; no other executor's coordinator spans.
+    assert_eq!(trace.count(SpanKind::Dataflow), 1);
     assert_eq!(trace.count(SpanKind::Slab), 0, "no slab coordinator ran");
     assert!(trace.count(SpanKind::Stencil) > 0, "stencil phases traced");
     assert_well_nested(&trace);
@@ -266,7 +261,7 @@ fn slab_and_sweep_schedules_record_their_own_spans() {
     let spec = Execution::wavefront_default().wavefront_spec(2, 1);
     let expected_slabs = tempest::tiling::wavefront::slabs(Shape::cube(N), NT, &spec).len();
     assert_eq!(trace.count(SpanKind::Slab), expected_slabs);
-    assert_eq!(trace.count(SpanKind::Tile), 0, "no diagonal executor ran");
+    assert_eq!(trace.count(SpanKind::Tile), 0, "no tile-plan executor ran");
     // Slab args carry the owning tile's coordinates and single vt.
     for e in trace.events_of(SpanKind::Slab) {
         assert_eq!(e.args.diagonal, e.args.tx + e.args.ty);
@@ -286,9 +281,9 @@ fn slab_and_sweep_schedules_record_their_own_spans() {
 fn analysis_matches_trace_and_renders() {
     let _g = guard();
     let mut s = acoustic64();
-    let (_, _, trace, _) = s.run_traced(&Execution::wavefront_diagonal_default());
+    let (_, _, trace, _) = s.run_traced(&Execution::wavefront_dataflow_default());
     let a = obs::analysis::TraceAnalysis::from_trace(&trace);
-    let spec = Execution::wavefront_diagonal_default().wavefront_spec(2, 1);
+    let spec = Execution::wavefront_dataflow_default().wavefront_spec(2, 1);
     let ndiag = spec.tiles_x(N) + spec.tiles_y(N) - 1;
     assert_eq!(a.diagonals.len(), ndiag * NT.div_ceil(spec.tile_t));
     let tiles: usize = a.diagonals.iter().map(|d| d.tiles).sum();
@@ -308,7 +303,7 @@ fn trace_gate_off_records_counters_but_no_events() {
     let _g = guard();
     obs::trace::set_enabled(false);
     let mut s = acoustic64();
-    let (_, profile, trace, _) = s.run_traced(&Execution::wavefront_diagonal_default());
+    let (_, profile, trace, _) = s.run_traced(&Execution::wavefront_dataflow_default());
     assert!(!profile.is_empty(), "profiling gate unaffected by trace gate");
     assert!(trace.is_empty(), "trace gate off must record no events");
     assert_eq!(trace.dropped, 0);
@@ -331,7 +326,7 @@ fn trace_disabled_costs_no_more_than_enabled() {
         .with_f0(25.0);
     let src = SparsePoints::single_center(&d, 0.4);
     let mut s = Acoustic::new(&model, cfg, src, None);
-    let exec = Execution::wavefront_diagonal_default().sequential();
+    let exec = Execution::wavefront_dataflow_default().sequential();
     s.run(&exec); // warm-up
     let mut median = |on: bool| {
         obs::trace::set_enabled(on);
@@ -369,7 +364,7 @@ fn no_feature_build_records_nothing() {
         .with_f0(25.0);
     let src = SparsePoints::single_center(&d, 0.4);
     let mut s = Acoustic::new(&model, cfg, src, None);
-    let (_, profile, trace, _) = s.run_traced(&Execution::wavefront_diagonal_default());
+    let (_, profile, trace, _) = s.run_traced(&Execution::wavefront_dataflow_default());
     assert!(profile.is_empty());
     assert!(trace.is_empty());
     assert_eq!(trace.dropped, 0);
